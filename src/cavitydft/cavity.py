@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from . import grid as gridmod
 from .errors import ConfigurationError, GridMismatchError, UsageError
@@ -210,6 +211,70 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
         out -= np.sqrt(cavity.omega / 2.0) * lam_r * ladder
 
     return out
+
+
+def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None,
+                           order: int = gridmod.DEFAULT_ORDER) -> sparse.csr_array:
+    """The static part of the coupled one-body Hamiltonian as one sparse matrix.
+
+    It acts on one orbital flattened in (sector, grid...) C order and holds
+    the finite-difference kinetic term on every sector, (n + 1/2) w on
+    sector n, and the ladder coupling -sqrt(w/2) (lam.r) sqrt(n) between
+    sectors n - 1 and n, with the same hard walls and truncation as
+    :func:`apply_hamiltonian`.  With ``cavity=None`` it is the kinetic term
+    on one grid.  The local potential, the only part that changes during a
+    run, is left to :class:`SparseHamiltonian`.
+
+    Real values and 32-bit indices take about 12 bytes per nonzero: ~1.8 MB
+    at 15^3 and ~40 MB at 41^3 with the 9-point stencil and two sectors.
+    """
+    weights = -0.5 * gridmod.d2_stencil(order) / grid.h**2
+    half = len(weights) // 2
+    kinetic = sparse.csr_array((grid.n_points, grid.n_points))
+    for axis, n in enumerate(grid.shape):
+        band = sparse.diags_array(weights, offsets=np.arange(-half, half + 1), shape=(n, n))
+        before = sparse.eye_array(int(np.prod(grid.shape[:axis])))
+        after = sparse.eye_array(int(np.prod(grid.shape[axis + 1:])))
+        kinetic = kinetic + sparse.kron(sparse.kron(before, band), after, format="csr")
+    if cavity is None:
+        return kinetic
+
+    n_sec = cavity.n_sectors
+    photon = sparse.diags_array((np.arange(n_sec) + 0.5) * cavity.omega)
+    out = (sparse.kron(sparse.eye_array(n_sec), kinetic)
+           + sparse.kron(photon, sparse.eye_array(grid.n_points)))
+    if n_sec > 1:
+        sq = cavity.sqrt_n[1:n_sec]
+        ladder = sparse.diags_array([sq, sq], offsets=[-1, 1])
+        lam_r = sparse.diags_array(coupling_field(cavity, grid).ravel())
+        out = out - np.sqrt(cavity.omega / 2.0) * sparse.kron(ladder, lam_r)
+    out = sparse.csr_array(out)
+    out.eliminate_zeros()
+    return out
+
+
+@dataclass
+class SparseHamiltonian:
+    """The coupled one-body Hamiltonian: a static matrix plus a local potential.
+
+    ``static`` comes from :func:`field_free_hamiltonian`; ``v_local`` is the
+    grid field added on every sector, V_KS + mu (lam.r) + E(t).r in the
+    terms of :func:`apply_hamiltonian`, whose result :meth:`apply` gives
+    with one sparse product per call.
+    """
+
+    static: sparse.csr_array
+    v_local: np.ndarray
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H psi for ``psi`` of shape (..., sectors, *grid) or (..., *grid) without a cavity."""
+        psi = np.asarray(psi, dtype=complex)
+        # one column per orbital, the real and imaginary parts side by side,
+        # so the matrix stays real
+        cols = np.ascontiguousarray(psi.reshape(-1, self.static.shape[0]).T)
+        out = (self.static @ cols.view(float)).view(complex).T.reshape(psi.shape)
+        out += self.v_local * psi
+        return out
 
 
 def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:

@@ -101,27 +101,6 @@ class Grid:
                 f"field shape {f.shape} does not end with grid shape {self.shape}"
             )
 
-    def direction_vector(self, spec) -> np.ndarray:
-        """Normalize an axis index / name / vector into a ``dim``-vector."""
-        names = {"x": 0, "y": 1, "z": 2}
-        if isinstance(spec, str):
-            spec = names.get(spec.lower())
-            if spec is None:
-                raise ConfigurationError(f"unknown axis name {spec!r}")
-        if np.isscalar(spec):
-            axis = int(spec)
-            if not 0 <= axis < self.dim:
-                raise ConfigurationError(f"axis {axis} out of range for dim {self.dim}")
-            vec = np.zeros(self.dim)
-            vec[axis] = 1.0
-            return vec
-        vec = np.asarray(spec, dtype=float)
-        if vec.shape != (self.dim,):
-            raise ConfigurationError(
-                f"direction vector must have {self.dim} components, got {vec.shape}"
-            )
-        return vec
-
 
 def laplacian(f: np.ndarray, grid: Grid, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Apply the finite-difference Laplacian to ``f`` (hard-wall boundaries).
@@ -178,8 +157,3 @@ def dipole_integral(rho: np.ndarray, grid: Grid, axis: int = 0) -> float:
 def dipole_vector(rho: np.ndarray, grid: Grid) -> np.ndarray:
     """All dipole components of a real density as a ``dim``-vector."""
     return np.array([dipole_integral(rho, grid, a) for a in range(grid.dim)])
-
-
-def field_norm(f: np.ndarray, grid: Grid) -> float:
-    """L2 norm sqrt(<f|f>)."""
-    return float(np.sqrt(inner_product(f, f, grid).real))

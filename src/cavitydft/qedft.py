@@ -28,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityMode, OrbitalSet, coupling_field, electron_density, mean_dipole_mu
+from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
+                     electron_density, field_free_hamiltonian, mean_dipole_mu)
 from .errors import PropagationAborted, StepSizeError
 from .grid import dipole_vector
 from .potentials import assemble_ks
-from .propagate import PropConfig, delta_kick, taylor_step
-from .scf import HamiltonianContext, ScfState, orbital_eigenvalues, total_energy
+from .propagate import PropConfig, delta_kick, excitation_meta, taylor_step, with_laser
+from .scf import ScfState, orbital_eigenvalues, total_energy
 from .timeseries import TimeSeries, axis_name
 
 
@@ -94,7 +95,10 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
 
     ``state`` must be a plain Kohn-Sham ground state (solved without the
     cavity); the photon starts at its static fixed point with zero
-    velocity so that the delta kick is the only perturbation.
+    velocity so that the delta kick is the only perturbation.  As in
+    :func:`~cavitydft.propagate.propagate`, the kinetic operator is built
+    once and each step's Kohn-Sham potential also gives that sample's
+    energy; non-finite values abort with the partial series attached.
     """
     system = state.system
     grid = system.grid
@@ -106,49 +110,53 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
     mu = mean_dipole_mu(density, cavity)
     osc = PhotonOscillator(q=initial_displacement(state, cavity),
                            qdot=0.0, omega=cavity.omega)
-    lam_r = coupling_field(cavity, grid)
+    static = field_free_hamiltonian(grid, None, cfg.fd_order)
+    pot = assemble_ks(density, system, v_ion=v_ion)
 
     shifts = None
     if cfg.use_energy_shift:
-        pot0 = assemble_ks(density, system, v_ion=v_ion)
-        ctx0 = HamiltonianContext(grid, None, pot0.total, 0.0, cfg.fd_order)
-        shifts = orbital_eigenvalues(orbitals, ctx0)
+        shifts = orbital_eigenvalues(orbitals, SparseHamiltonian(static, pot.total))
 
     columns = {"t": []}
     for a in range(grid.dim):
         columns[f"D{axis_name(a)}"] = []
     columns.update({"q": [], "qdot": [], "E": [], "norm": []})
 
-    def record(t, orbitals, osc, mu):
-        rho = electron_density(orbitals)
-        dip = dipole_vector(rho.values, grid)
+    def record(t, orbitals, density, pot, norms, osc, mu):
+        dip = dipole_vector(density.values, grid)
         columns["t"].append(t)
         for a in range(grid.dim):
             columns[f"D{axis_name(a)}"].append(dip[a])
         columns["q"].append(osc.q)
         columns["qdot"].append(osc.qdot)
-        e_mat = total_energy(system, orbitals, None, fd_order=cfg.fd_order).total
+        e_mat = total_energy(system, orbitals, None, potential=pot,
+                             fd_order=cfg.fd_order).total
         e = e_mat + 0.5 * mu**2 - cavity.omega * osc.q * mu + osc.energy()
         columns["E"].append(e)
-        norms = orbitals.norms()
         columns["norm"].append(float(norms @ orbitals.occupations) / orbitals.n_electrons)
+
+    def finish():
+        meta = {"method": "qedft", "dt": cfg.dt, "n_steps": cfg.n_steps,
+                "cavity_omega": cavity.omega,
+                "cavity_lambda": " ".join(f"{c:g}" for c in cavity.lam),
+                "n_electrons": system.n_electrons, **excitation_meta(cfg)}
+        return TimeSeries(columns={k: np.asarray(v) for k, v in columns.items()},
+                          meta=meta)
 
     norms_ref = orbitals.norms()
     t = 0.0
-    record(t, orbitals, osc, mu)
+    record(t, orbitals, density, pot, norms_ref, osc, mu)
     acc = cavity.omega * mu - cavity.omega**2 * osc.q
 
     for step in range(1, cfg.n_steps + 1):
-        pot = assemble_ks(density, system, v_ion=v_ion)
         v_p = photon_exchange_potential(mu, osc.q, cavity, grid)
-        efield = cfg.laser.vector(t + 0.5 * cfg.dt, grid.dim) if cfg.laser else None
-        ctx = HamiltonianContext(grid, None, pot.total + v_p, 0.0, cfg.fd_order, efield)
-
-        psi_new = taylor_step(orbitals.psi, ctx, cfg.dt, cfg.order, shifts)
+        ham = SparseHamiltonian(static, with_laser(pot.total + v_p, cfg.laser,
+                                                   t + 0.5 * cfg.dt, grid))
+        psi_new = taylor_step(orbitals.psi, ham, cfg.dt, cfg.order, shifts)
         if not np.all(np.isfinite(psi_new.view(float))):
             raise PropagationAborted(
-                f"non-finite orbital values at step {step}",
-                orbitals=orbitals, time=t)
+                f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})",
+                series=finish(), orbitals=orbitals, time=t)
         q_new = osc.q + cfg.dt * osc.qdot + 0.5 * cfg.dt**2 * acc
 
         orbitals = OrbitalSet(psi_new, orbitals.occupations, grid)
@@ -161,25 +169,14 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
         acc = acc_new
         t = step * cfg.dt
 
-        drift = float(np.max(np.abs(orbitals.norms() - norms_ref)))
+        norms = orbitals.norms()
+        drift = float(np.max(np.abs(norms - norms_ref)))
         if drift > cfg.norm_tol_step * step:
             raise StepSizeError(
                 f"norm drift {drift:.3e} after {step} steps; reduce dt below {cfg.dt}")
 
+        pot = assemble_ks(density, system, v_ion=v_ion)
         if step % cfg.stride == 0:
-            record(t, orbitals, osc, mu)
+            record(t, orbitals, density, pot, norms, osc, mu)
 
-    meta = {"method": "qedft", "dt": cfg.dt, "n_steps": cfg.n_steps,
-            "cavity_omega": cavity.omega,
-            "cavity_lambda": " ".join(f"{c:g}" for c in cavity.lam),
-            "n_electrons": system.n_electrons}
-    if cfg.kick_strength:
-        meta["kick_strength"] = cfg.kick_strength
-        meta["kick_axis"] = axis_name(cfg.kick_axis)
-    if cfg.laser is not None:
-        meta["laser_amplitude"] = cfg.laser.amplitude
-        meta["laser_carrier"] = cfg.laser.carrier
-        meta["laser_axis"] = axis_name(cfg.laser.axis)
-    series = TimeSeries(columns={k: np.asarray(v) for k, v in columns.items()},
-                        meta=meta)
-    return series, orbitals, osc
+    return finish(), orbitals, osc

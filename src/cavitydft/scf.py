@@ -90,11 +90,10 @@ class HamiltonianContext:
     v_local: np.ndarray
     mu: float
     order: int = gridmod.DEFAULT_ORDER
-    efield: np.ndarray | None = None
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return apply_hamiltonian(psi, self.v_local, self.mu, self.cavity,
-                                 self.grid, order=self.order, efield=self.efield)
+                                 self.grid, order=self.order)
 
     def spectral_bound(self) -> float:
         """Gershgorin-style bound on |H|, used to cap fixed descent steps."""
@@ -378,6 +377,10 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
     the mean-field dipole self-interaction enters as mu^2 / 2, so the sum
     reduces to the bare Kohn-Sham energy plus w/2 when the coupling is
     switched off.
+
+    ``potential``, when given, must be the Kohn-Sham potential assembled
+    from this orbital set's density: its ``v_ion``, ``e_hartree`` and
+    ``e_xc`` are used instead of rebuilding them.
     """
     grid = system.grid
     dv = grid.volume_element
@@ -392,22 +395,18 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
 
     rho = electron_density(orbitals)
     if potential is not None:
-        v_ion = potential.v_ion
+        v_ion, e_h, e_xc = potential.v_ion, potential.e_hartree, potential.e_xc
     else:
         v_ion = external_potential(system)
+        e_h = e_xc = 0.0
+        if system.use_hartree:
+            from .potentials import hartree_potential
+            v_h = hartree_potential(rho, softening=system.ee_softening)
+            e_h = 0.5 * float(np.sum(rho.values * v_h)) * dv
+        if system.use_xc:
+            from .potentials import lda_xc
+            _, e_xc = lda_xc(rho)
     e_ext = float(np.sum(rho.values * v_ion)) * dv
-
-    if system.use_hartree:
-        from .potentials import hartree_potential
-        v_h = hartree_potential(rho, softening=system.ee_softening)
-        e_h = 0.5 * float(np.sum(rho.values * v_h)) * dv
-    else:
-        e_h = 0.0
-    if system.use_xc:
-        from .potentials import lda_xc
-        _, e_xc = lda_xc(rho)
-    else:
-        e_xc = 0.0
 
     if cavity is None:
         return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, 0.0, 0.0, 0.0)

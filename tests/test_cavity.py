@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitydft.cavity import (CavityMode, OrbitalSet, annihilation_matrix,
-                              apply_hamiltonian, coupling_field,
-                              electron_density, ladder_commutator,
+from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian,
+                              annihilation_matrix, apply_hamiltonian,
+                              coupling_field, electron_density,
+                              field_free_hamiltonian, ladder_commutator,
                               mean_dipole_mu, photon_occupations,
                               q_expectation, sector_density, sector_dipoles)
 from cavitydft.errors import ConfigurationError, UsageError
@@ -148,6 +149,32 @@ class TestApplyHamiltonian:
                                    efield=np.array([0.02]))
         x = grid.coordinate(0)
         assert np.allclose(kicked - base, 0.02 * x * psi, atol=1e-14)
+
+
+class TestSparseHamiltonian:
+    @pytest.mark.parametrize("order", [3, 5, 7, 9])
+    # None: no cavity, the operator of the classical-photon scheme
+    @pytest.mark.parametrize("n_fock", [None, 0, 1, 2])
+    @pytest.mark.parametrize("shape,h,lam", [((31,), 0.4, (0.3,)),
+                                             ((7, 8, 9), 0.5, (0.2, -0.1, 0.15))])
+    def test_matches_apply_hamiltonian(self, shape, h, lam, n_fock, order):
+        grid = Grid(shape, h)
+        cav = None if n_fock is None else CavityMode(omega=0.3, coupling=lam, n_fock=n_fock)
+        n_sec = 1 if cav is None else cav.n_sectors
+        rng = np.random.default_rng(order)
+        psi = (rng.standard_normal((2, n_sec) + shape)
+               + 1j * rng.standard_normal((2, n_sec) + shape))
+        v = rng.standard_normal(shape)
+        mu = 0.0 if cav is None else 0.37
+        efield = 0.02 * np.arange(1.0, grid.dim + 1.0)
+        ref = apply_hamiltonian(psi, v, mu, cav, grid, order=order, efield=efield)
+
+        v_local = v + sum(e * grid.coordinate(a) for a, e in enumerate(efield))
+        if cav is not None:
+            v_local = v_local + mu * coupling_field(cav, grid)
+        out = SparseHamiltonian(field_free_hamiltonian(grid, cav, order), v_local).apply(psi)
+        assert out.shape == psi.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestMeanDipole:

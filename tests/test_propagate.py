@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from cavitydft.cavity import CavityMode, OrbitalSet, electron_density, mean_dipole_mu
-from cavitydft.errors import ConfigurationError, StepSizeError
-from cavitydft.grid import Grid
+from cavitydft.cavity import (CavityMode, OrbitalSet, electron_density, mean_dipole_mu,
+                              q_expectation)
+from cavitydft.errors import ConfigurationError, PropagationAborted, StepSizeError
+from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
 from cavitydft.propagate import (LaserPulse, PropConfig, delta_kick,
                                  overlap_deviation, propagate, taylor_step)
-from cavitydft.scf import HamiltonianContext, ScfConfig, orbital_eigenvalues, scf_solve
+from cavitydft.qedft import initial_displacement, photon_exchange_potential, qedft_propagate
+from cavitydft.scf import (HamiltonianContext, ScfConfig, orbital_eigenvalues, scf_solve,
+                           total_energy)
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +191,105 @@ class TestPropagate:
         assert series.meta["laser_carrier"] == 0.06
         assert "laser_envelope_time" in series.meta
 
+    def test_nan_aborts_with_partial_series(self, atom_state):
+        # a NaN laser amplitude leaves the t = 0 sample finite and poisons
+        # the first step's potential
+        cfg = PropConfig(dt=0.05, n_steps=10, laser=LaserPulse(amplitude=np.nan, carrier=0.06))
+        with pytest.raises(PropagationAborted, match="at step 1 ") as info:
+            propagate(atom_state, cfg)
+        assert info.value.time == 0.0
+        assert list(info.value.series.t) == [0.0]
+        assert np.array_equal(info.value.orbitals.psi, atom_state.orbitals.psi)
+
     def test_identical_runs_bit_identical(self, atom_state):
         cfg = PropConfig(dt=0.05, n_steps=60, kick_strength=1e-3)
         s1, f1 = propagate(atom_state, cfg)
         s2, f2 = propagate(atom_state, cfg)
         assert np.array_equal(f1.psi, f2.psi)
         assert all(np.array_equal(s1[c], s2[c]) for c in s1.columns)
+
+
+class TestMatchesStencilReference:
+    """Both schemes against the stencil Hamiltonian rebuilt every step."""
+
+    N_STEPS = 200
+
+    @pytest.fixture(scope="class")
+    def dimer(self):
+        system = ElectronSystem(grid=Grid((161,), 0.45),
+                                ions=[Ion(1.0, (-2.9,), 3.6), Ion(1.0, (2.9,), 3.6)],
+                                occupations=[2.0])
+        cav = CavityMode(omega=0.07, coupling=(0.03,), n_fock=1)
+        cfg = ScfConfig(tol_energy=1e-8, tol_density=1e-5, max_iterations=2000)
+        return scf_solve(system, cav, cfg), scf_solve(system, None, cfg), cav
+
+    @pytest.fixture(scope="class")
+    def kick(self):
+        return PropConfig(dt=0.05, n_steps=self.N_STEPS, kick_strength=1e-3)
+
+    def test_tensor_product(self, dimer, kick):
+        state, _, cav = dimer
+        system, g = state.system, state.system.grid
+        v_ion = state.potential.v_ion
+        orb = delta_kick(state.orbitals, kick.kick_strength)
+
+        def context(psi):
+            density = electron_density(OrbitalSet(psi, orb.occupations, g))
+            pot = assemble_ks(density, system, v_ion=v_ion)
+            return HamiltonianContext(g, cav, pot.total, mean_dipole_mu(density, cav),
+                                      kick.fd_order)
+
+        shifts = orbital_eigenvalues(orb, context(orb.psi))
+        psi, dips, qs = orb.psi, [], []
+        for step in range(self.N_STEPS + 1):
+            if step:
+                psi = taylor_step(psi, context(psi), kick.dt, kick.order, shifts)
+            current = OrbitalSet(psi, orb.occupations, g)
+            dips.append(dipole_integral(electron_density(current).values, g))
+            qs.append(q_expectation(current, cav))
+
+        series, final = propagate(state, kick)
+        assert np.max(np.abs(series["Dx"] - dips)) < 1e-12
+        assert np.max(np.abs(series["q"] - qs)) < 1e-12
+        assert np.max(np.abs(final.psi - psi)) < 1e-12
+        energy = total_energy(system, final, cav, fd_order=kick.fd_order).total
+        assert abs(series["E"][-1] - energy) < 1e-12
+
+    def test_classical_photon(self, dimer, kick):
+        _, state, cav = dimer
+        system, g = state.system, state.system.grid
+        v_ion = state.potential.v_ion
+        orb = delta_kick(state.orbitals, kick.kick_strength)
+        w, dt = cav.omega, kick.dt
+
+        density = electron_density(orb)
+        mu = mean_dipole_mu(density, cav)
+        q, qdot = initial_displacement(state, cav), 0.0
+        pot = assemble_ks(density, system, v_ion=v_ion)
+        shifts = orbital_eigenvalues(orb, HamiltonianContext(g, None, pot.total, 0.0,
+                                                             kick.fd_order))
+        acc = w * mu - w**2 * q
+        psi, dips, qs = orb.psi, [dipole_integral(density.values, g)], [q]
+        for _ in range(self.N_STEPS):
+            pot = assemble_ks(density, system, v_ion=v_ion)
+            v_p = photon_exchange_potential(mu, q, cav, g)
+            ctx = HamiltonianContext(g, None, pot.total + v_p, 0.0, kick.fd_order)
+            psi = taylor_step(psi, ctx, dt, kick.order, shifts)
+            q_new = q + dt * qdot + 0.5 * dt**2 * acc
+            density = electron_density(OrbitalSet(psi, orb.occupations, g))
+            mu = mean_dipole_mu(density, cav)
+            acc_new = w * mu - w**2 * q_new
+            q, qdot, acc = q_new, qdot + 0.5 * dt * (acc + acc_new), acc_new
+            dips.append(dipole_integral(density.values, g))
+            qs.append(q)
+
+        series, final, osc = qedft_propagate(state, cav, kick)
+        assert np.max(np.abs(series["Dx"] - dips)) < 1e-12
+        assert np.max(np.abs(series["q"] - qs)) < 1e-12
+        assert np.max(np.abs(final.psi - psi)) < 1e-12
+        e_mat = total_energy(system, final, None, fd_order=kick.fd_order).total
+        energy = e_mat + 0.5 * mu**2 - w * osc.q * mu + osc.energy()
+        assert abs(series["E"][-1] - energy) < 1e-12
 
 
 class TestPolaritonDynamics:

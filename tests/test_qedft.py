@@ -4,7 +4,8 @@ import pytest
 from cavitydft.cavity import CavityMode, coupling_field
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import Density, ElectronSystem, Ion
-from cavitydft.propagate import PropConfig
+from cavitydft.errors import PropagationAborted
+from cavitydft.propagate import LaserPulse, PropConfig
 from cavitydft.qedft import (PhotonOscillator, driven_oscillator_closed_form,
                              initial_displacement, photon_exchange_potential,
                              qedft_propagate, verlet_oscillator)
@@ -109,3 +110,21 @@ class TestQedftPropagate:
         series, _, _ = qedft_propagate(ks_state, cav,
                                        PropConfig(dt=0.05, n_steps=50))
         assert series.meta["method"] == "qedft"
+
+    def test_metadata_records_laser_envelope(self, ks_state):
+        cav = CavityMode(omega=0.07, coupling=(0.02,), n_fock=0)
+        pulse = LaserPulse(amplitude=0.001, carrier=0.06)
+        series, _, _ = qedft_propagate(ks_state, cav,
+                                       PropConfig(dt=0.05, n_steps=10, laser=pulse))
+        assert series.meta["laser_envelope_time"] == pulse.envelope_time
+
+    def test_nan_aborts_with_partial_series(self, ks_state):
+        # a NaN laser amplitude leaves the t = 0 sample finite and poisons
+        # the first step's potential
+        cav = CavityMode(omega=0.07, coupling=(0.02,), n_fock=0)
+        cfg = PropConfig(dt=0.05, n_steps=10, laser=LaserPulse(amplitude=np.nan, carrier=0.06))
+        with pytest.raises(PropagationAborted, match="at step 1 ") as info:
+            qedft_propagate(ks_state, cav, cfg)
+        assert info.value.time == 0.0
+        assert list(info.value.series.t) == [0.0]
+        assert np.array_equal(info.value.orbitals.psi, ks_state.orbitals.psi)
