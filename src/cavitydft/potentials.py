@@ -3,8 +3,9 @@
 The effective one-body potential is V_H[rho] + V_XC[rho] + V_ion (plus any
 static external well).  Ions are local soft-Coulomb centers
 ``-Z / sqrt(|r - R|^2 + a^2)``.  The Hartree problem is solved by direct
-soft-kernel convolution in 1D and by conjugate-gradient iteration on the
-finite-difference Laplacian with multipole boundary values in 3D.
+soft-kernel convolution in 1D and, in 3D, by conjugate gradients on the
+finite-difference Laplacian with multipole boundary values, preconditioned
+by the fast-sine-transform inverse of that same stencil with zero walls.
 Exchange-correlation is spin-unpolarized LDA: Slater exchange plus the
 Perdew-Zunger 1981 correlation fit, applied pointwise with negative
 round-off densities clipped to zero.
@@ -13,8 +14,10 @@ round-off densities clipped to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import grid as gridmod
@@ -155,10 +158,13 @@ def external_potential(system: ElectronSystem) -> np.ndarray:
                            system.harmonic_omega)
 
 
+@lru_cache(maxsize=16)
 def _soft_kernel_1d(grid: Grid, softening: float) -> np.ndarray:
     n = grid.shape[0]
     offsets = np.arange(-(n - 1), n) * grid.h
-    return 1.0 / np.sqrt(offsets**2 + softening**2)
+    kernel = 1.0 / np.sqrt(offsets**2 + softening**2)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def hartree_potential_1d(rho: np.ndarray, grid: Grid, softening: float) -> np.ndarray:
@@ -186,6 +192,27 @@ def _multipole_boundary(rho: np.ndarray, grid: Grid, pad: int) -> np.ndarray:
     return vb
 
 
+@lru_cache(maxsize=16)
+def _inverse_dirichlet_symbol(grid: Grid, order: int) -> np.ndarray:
+    """Inverse of the DST-I symbol of -lap (``order``-point stencil, zero walls).
+
+    Along an axis of n points the sine mode k = 1..n has the -lap symbol
+    -(w0 + 2 sum_j wj cos(j pi k / (n + 1))) / h^2; the 3D symbol is the sum
+    over the axes.  The 3-point stencil is exactly diagonal in this basis;
+    wider stencils differ from it only near the walls, so the inverse serves
+    as a preconditioner rather than as the solver.
+    """
+    half = gridmod.d2_stencil(order)[(order - 1) // 2:]
+    j = np.arange(1, len(half))
+    axis_symbols = []
+    for n in grid.shape:
+        theta = np.pi * np.arange(1, n + 1) / (n + 1)
+        axis_symbols.append(-(half[0] + 2.0 * np.cos(np.outer(theta, j)) @ half[1:]) / grid.h**2)
+    inverse = 1.0 / sum(np.meshgrid(*axis_symbols, indexing="ij", sparse=True))
+    inverse.setflags(write=False)
+    return inverse
+
+
 def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAULT_ORDER,
                          tol: float = 1e-8, maxiter: int = 5000) -> np.ndarray:
     """Solve -lap(V) = 4 pi rho with free-space boundary values.
@@ -193,7 +220,9 @@ def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAU
     The boundary potential outside the box comes from the monopole+dipole
     expansion of rho; its stencil coupling into the box is moved to the
     right-hand side, after which conjugate gradients solve the Dirichlet
-    problem on the interior.
+    problem on the interior.  CG is preconditioned by the exact inverse of
+    the stencil's sine-transform symbol (a fast Poisson solver, Buzbee,
+    Golub & Nielson 1970), so it converges in a handful of iterations.
     """
     rho = np.asarray(rho, dtype=float)
     grid.check_field(rho)
@@ -209,9 +238,17 @@ def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAU
     def neg_lap(v):
         return -laplacian(v.reshape(shape), grid, order).ravel()
 
-    op = LinearOperator((grid.n_points, grid.n_points), matvec=neg_lap, dtype=float)
+    inverse_symbol = _inverse_dirichlet_symbol(grid, order)
+
+    def fast_sine_solve(r):
+        r_hat = fft.dstn(r.reshape(shape), type=1, norm="ortho")
+        return fft.idstn(r_hat * inverse_symbol, type=1, norm="ortho").ravel()
+
+    n = grid.n_points
+    op = LinearOperator((n, n), matvec=neg_lap, dtype=float)
+    precond = LinearOperator((n, n), matvec=fast_sine_solve, dtype=float)
     b_flat = b.ravel()
-    x, info = cg(op, b_flat, rtol=tol, atol=0.0, maxiter=maxiter)
+    x, info = cg(op, b_flat, rtol=tol, atol=0.0, maxiter=maxiter, M=precond)
     if info != 0:
         residual = float(np.linalg.norm(neg_lap(x) - b_flat) / max(np.linalg.norm(b_flat), 1e-300))
         raise ConvergenceError(

@@ -16,6 +16,7 @@ overlap matrix is monitored instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,22 +182,24 @@ def propagate(state: ScfState, cfg: PropConfig) -> tuple[TimeSeries, OrbitalSet]
 
     def record(t, orbitals, density, pot, norms):
         dip = dipole_vector(density.values, grid)
-        columns["t"].append(t)
+        row = {"t": t}
         for a in range(grid.dim):
-            columns[f"D{axis_name(a)}"].append(dip[a])
+            row[f"D{axis_name(a)}"] = dip[a]
         if cavity is not None:
-            columns["q"].append(q_expectation(orbitals, cavity))
+            row["q"] = q_expectation(orbitals, cavity)
             for n, p in enumerate(photon_occupations(orbitals)):
-                columns[f"P{n}"].append(p)
+                row[f"P{n}"] = p
         energy = total_energy(system, orbitals, cavity, potential=pot, fd_order=cfg.fd_order)
-        columns["E"].append(energy.total)
-        columns["norm"].append(float(norms @ orbitals.occupations) / orbitals.n_electrons)
+        row["E"] = energy.total
+        row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
         if cfg.record_sector_dipoles and cavity is not None:
             for n in range(orbitals.n_sectors):
                 p_n = sector_density(orbitals, n)
                 for a in range(grid.dim):
-                    columns[f"D{axis_name(a)}_s{n}"].append(
-                        float(np.sum(grid.coordinate(a) * p_n)) * grid.volume_element)
+                    row[f"D{axis_name(a)}_s{n}"] = float(
+                        np.sum(grid.coordinate(a) * p_n)) * grid.volume_element
+        append_sample(columns, row, t, orbitals,
+                      lambda: _finish_series(columns, cfg, state))
 
     static = field_free_hamiltonian(grid, cavity, cfg.fd_order)
     lam_r = coupling_field(cavity, grid) if cavity is not None else 0.0
@@ -245,6 +248,21 @@ def propagate(state: ScfState, cfg: PropConfig) -> tuple[TimeSeries, OrbitalSet]
 
     series = _finish_series(columns, cfg, state, max_drift=max_drift)
     return series, orbitals
+
+
+def append_sample(columns: dict, row: dict, t: float, orbitals: OrbitalSet,
+                  partial_series) -> None:
+    """Append one sample to ``columns``, or abort if any value is not finite.
+
+    A non-finite sample raises :class:`PropagationAborted` carrying
+    ``partial_series()``, the series of the finite samples before it.
+    """
+    if not all(map(math.isfinite, row.values())):
+        bad = ", ".join(name for name, value in row.items() if not math.isfinite(value))
+        raise PropagationAborted(f"non-finite sample ({bad}) at t = {t:.6g}",
+                                 series=partial_series(), orbitals=orbitals, time=t)
+    for name, value in row.items():
+        columns[name].append(value)
 
 
 def _finish_series(columns, cfg: PropConfig, state: ScfState,

@@ -33,7 +33,8 @@ from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
 from .errors import PropagationAborted, StepSizeError
 from .grid import dipole_vector
 from .potentials import assemble_ks
-from .propagate import PropConfig, delta_kick, excitation_meta, taylor_step, with_laser
+from .propagate import (PropConfig, append_sample, delta_kick, excitation_meta, taylor_step,
+                        with_laser)
 from .scf import ScfState, orbital_eigenvalues, total_energy
 from .timeseries import TimeSeries, axis_name
 
@@ -124,16 +125,16 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
 
     def record(t, orbitals, density, pot, norms, osc, mu):
         dip = dipole_vector(density.values, grid)
-        columns["t"].append(t)
+        row = {"t": t}
         for a in range(grid.dim):
-            columns[f"D{axis_name(a)}"].append(dip[a])
-        columns["q"].append(osc.q)
-        columns["qdot"].append(osc.qdot)
+            row[f"D{axis_name(a)}"] = dip[a]
+        row["q"] = osc.q
+        row["qdot"] = osc.qdot
         e_mat = total_energy(system, orbitals, None, potential=pot,
                              fd_order=cfg.fd_order).total
-        e = e_mat + 0.5 * mu**2 - cavity.omega * osc.q * mu + osc.energy()
-        columns["E"].append(e)
-        columns["norm"].append(float(norms @ orbitals.occupations) / orbitals.n_electrons)
+        row["E"] = e_mat + 0.5 * mu**2 - cavity.omega * osc.q * mu + osc.energy()
+        row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
+        append_sample(columns, row, t, orbitals, finish)
 
     def finish():
         meta = {"method": "qedft", "dt": cfg.dt, "n_steps": cfg.n_steps,

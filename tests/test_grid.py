@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavitydft.errors import ConfigurationError, GridMismatchError
-from cavitydft.grid import (Grid, dipole_integral, inner_product, integrate,
+from cavitydft.grid import (Grid, d2_stencil, dipole_integral, inner_product, integrate,
                             laplacian)
+from scipy import ndimage
 
 
 @pytest.fixture
@@ -130,6 +131,52 @@ class TestLaplacian:
         rng = np.random.default_rng(7)
         f = rng.standard_normal(line.shape)
         assert np.array_equal(laplacian(f, line), laplacian(f, line))
+
+
+def two_pass_complex_laplacian(f, grid, order):
+    """Reference: real and imaginary parts filtered apart, axis by axis."""
+    weights = d2_stencil(order) / grid.h**2
+    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    for axis in range(-grid.dim, 0):
+        out += (ndimage.correlate1d(f.real, weights, axis=axis, mode="constant")
+                + 1j * ndimage.correlate1d(f.imag, weights, axis=axis, mode="constant"))
+    return out
+
+
+class TestComplexLaplacianBitIdentical:
+    CASES = {
+        "1d": (Grid((161,), 0.3), (1, 2)),
+        "1d-three-sectors": (Grid((55,), 0.4), (1, 3)),
+        "3d": (Grid((15, 13, 11), 0.4), (1, 2)),
+    }
+
+    @staticmethod
+    def field(shape, seed, dtype=complex):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+
+    @pytest.mark.parametrize("order", [3, 5, 7, 9])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_two_pass_formula(self, case, order):
+        grid, lead = self.CASES[case]
+        f = self.field(lead + grid.shape, order)
+        assert np.array_equal(laplacian(f, grid, order),
+                              two_pass_complex_laplacian(f, grid, order))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_contiguous_slice(self, case):
+        grid, lead = self.CASES[case]
+        f = self.field(lead + grid.shape, 11)[..., ::-1]
+        assert not f.flags.c_contiguous
+        assert np.array_equal(laplacian(f, grid), two_pass_complex_laplacian(f, grid, 9))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_complex64_input(self, case):
+        grid, lead = self.CASES[case]
+        f = self.field(lead + grid.shape, 12, dtype=np.complex64)
+        lap = laplacian(f, grid)
+        assert lap.dtype == np.complex128
+        assert np.array_equal(lap, two_pass_complex_laplacian(f, grid, 9))
 
 
 class TestInnerProduct:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
+import cavitydft.potentials as potentials
 from cavitydft.errors import ConfigurationError
-from cavitydft.grid import Grid, integrate
+from cavitydft.grid import Grid, d2_stencil, integrate, laplacian
 from cavitydft.potentials import (Density, ElectronSystem, Ion, assemble_ks,
                                   external_potential, hartree_energy_direct_1d,
                                   hartree_potential, hartree_potential_1d,
@@ -64,6 +67,11 @@ class TestHartree1D:
         v = hartree_potential_1d(rho, line, 1.0)
         assert np.all(v > 0.0)
 
+    def test_kernel_cache_is_read_only(self, line):
+        kernel = potentials._soft_kernel_1d(line, 1.0)
+        assert kernel is potentials._soft_kernel_1d(Grid((201,), 0.2), 1.0)
+        assert not kernel.flags.writeable
+
     def test_energy_matches_direct_double_sum(self, line):
         rho = normalized_gaussian(line, center=0.7, width=1.3) * 2.0
         v = hartree_potential_1d(rho, line, 1.0)
@@ -111,6 +119,57 @@ class TestHartree3D:
         b = 4 * np.pi * rho + laplacian_padded(vb, g, weights, pad)
         v_direct = sla.spsolve(a_mat.tocsc(), b.ravel()).reshape(g.shape)
         assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
+
+    @staticmethod
+    def sparse_neg_laplacian(grid, order):
+        """-lap as a Kronecker sum of 1D zero-wall stencil matrices."""
+        w = d2_stencil(order) / grid.h**2
+        half = (order - 1) // 2
+        eyes = [sp.identity(n, format="csr") for n in grid.shape]
+        total = sp.csr_matrix((grid.n_points, grid.n_points))
+        for axis, n in enumerate(grid.shape):
+            d2 = sp.diags([w[half + k] * np.ones(n - abs(k)) for k in range(-half, half + 1)],
+                          list(range(-half, half + 1)), shape=(n, n))
+            factors = eyes[:axis] + [d2] + eyes[axis + 1:]
+            total = total - sp.kron(sp.kron(factors[0], factors[1]), factors[2])
+        return total.tocsc()
+
+    @pytest.mark.parametrize("order", [3, 5, 7, 9])
+    def test_matches_sparse_solve_every_order(self, order):
+        g = Grid((13, 11, 9), 0.6)
+        x, y, z = g.coordinates
+        rho = np.exp(-((x - 0.4) ** 2 + y**2 + (z + 0.2) ** 2))
+        rho /= integrate(rho, g)
+        v_cg = hartree_potential_3d(rho, g, order=order, tol=1e-10)
+
+        pad = (order - 1) // 2
+        vb = potentials._multipole_boundary(rho, g, pad)
+        b = 4 * np.pi * rho + potentials.laplacian_padded(vb, g, d2_stencil(order) / g.h**2,
+                                                          pad)
+        v_direct = sla.spsolve(self.sparse_neg_laplacian(g, order), b.ravel()).reshape(g.shape)
+        assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
+
+    def test_inverse_symbol_cache_is_read_only(self):
+        g = Grid((9, 7, 5), 0.5)
+        inverse = potentials._inverse_dirichlet_symbol(g, 9)
+        assert inverse is potentials._inverse_dirichlet_symbol(Grid((9, 7, 5), 0.5), 9)
+        assert not inverse.flags.writeable
+        assert np.all(inverse > 0)
+
+    def test_preconditioned_cg_needs_few_matvecs(self, monkeypatch):
+        calls = []
+
+        def counted_laplacian(*args, **kwargs):
+            calls.append(1)
+            return laplacian(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "laplacian", counted_laplacian)
+        g = Grid((15, 15, 15), 0.4)
+        x, y, z = g.coordinates
+        rho = np.exp(-((x - 0.7) ** 2 + y**2 + z**2)) + np.exp(-((x + 0.7) ** 2 + y**2 + z**2))
+        rho *= 2.0 / integrate(rho, g)
+        hartree_potential_3d(rho, g, tol=1e-8)
+        assert 0 < len(calls) <= 10
 
 
 class TestLdaXc:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,19 @@ class TestPropagate:
         assert info.value.time == 0.0
         assert list(info.value.series.t) == [0.0]
         assert np.array_equal(info.value.orbitals.psi, atom_state.orbitals.psi)
+
+    def test_nan_sample_aborts_with_finite_series(self, atom_state):
+        # one NaN in the ionic potential makes the t = 0 energy sample NaN
+        v_ion = atom_state.potential.v_ion.copy()
+        v_ion[len(v_ion) // 2] = np.nan
+        state = dataclasses.replace(
+            atom_state, potential=dataclasses.replace(atom_state.potential, v_ion=v_ion))
+        with pytest.raises(PropagationAborted, match="non-finite sample") as info:
+            propagate(state, PropConfig(dt=0.05, n_steps=5))
+        assert info.value.time == 0.0
+        series = info.value.series
+        assert all(np.all(np.isfinite(series[c])) for c in series.columns)
+        assert series.n_samples == 0
 
     def test_identical_runs_bit_identical(self, atom_state):
         cfg = PropConfig(dt=0.05, n_steps=60, kick_strength=1e-3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,17 @@ class TestQedftPropagate:
         assert info.value.time == 0.0
         assert list(info.value.series.t) == [0.0]
         assert np.array_equal(info.value.orbitals.psi, ks_state.orbitals.psi)
+
+    def test_nan_sample_aborts_with_finite_series(self, ks_state):
+        # one NaN in the ionic potential makes the t = 0 energy sample NaN
+        v_ion = ks_state.potential.v_ion.copy()
+        v_ion[len(v_ion) // 2] = np.nan
+        state = dataclasses.replace(
+            ks_state, potential=dataclasses.replace(ks_state.potential, v_ion=v_ion))
+        cav = CavityMode(omega=0.07, coupling=(0.02,), n_fock=0)
+        with pytest.raises(PropagationAborted, match="non-finite sample") as info:
+            qedft_propagate(state, cav, PropConfig(dt=0.05, n_steps=5))
+        assert info.value.time == 0.0
+        series = info.value.series
+        assert all(np.all(np.isfinite(series[c])) for c in series.columns)
+        assert series.n_samples == 0
