@@ -1,30 +1,40 @@
-"""Real-time propagation of tensor-product orbitals.
+"""Real-time propagation: one stepping driver for both photon schemes.
 
 The propagator is the truncated Taylor expansion of exp(-i H dt); the
 mean-field potentials are frozen across a step and rebuilt from the new
-density afterwards.  The field-free part of H (kinetic term, photon
-energies, ladder coupling) is built once per run as one sparse matrix of
-about 12 bytes per nonzero, ~1.8 MB at 15^3 and ~40 MB at 41^3 with two
-sectors; only the diagonal potential V_KS + mu (lam.r) + E(t).r changes
-from step to step.  The Kohn-Sham potential built from each step's density
-serves both the next step and the energy of that sample.  A constant
-per-orbital energy shift (a pure phase) conditions the expansion so that
-norm conservation is limited by the energy spread rather than the absolute
-energy scale.  Orbitals are never re-orthogonalized during propagation; the
-overlap matrix is monitored instead.
+density afterwards.  :func:`propagate` runs the tensor-product scheme, with
+orbitals on the Fock space of the cavity, and
+:func:`~cavitydft.qedft.qedft_propagate` the classical-photon scheme, with
+plain Kohn-Sham orbitals and a classical photon coordinate.  Both go
+through the one loop :func:`_drive`; a scheme supplies only its photon
+term of the local potential, how it advances its photon state, and its
+photon columns and energy.
+
+The field-free part of H (kinetic term, and on a Fock space the photon
+energies and the ladder coupling) is built once per run as one sparse
+matrix of about 12 bytes per nonzero, ~1.8 MB at 15^3 and ~40 MB at 41^3
+with two sectors; only the diagonal potential V_KS + photon term + E(t).r
+changes from step to step.  The Kohn-Sham potential built from each
+step's density serves both the next step and the energy of that sample.
+A constant per-orbital energy shift (a pure phase) conditions the
+expansion so that norm conservation is limited by the energy spread
+rather than the absolute energy scale.  Orbitals are never
+re-orthogonalized during propagation; the overlap matrix is monitored
+instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as gridmod
-from .cavity import (OrbitalSet, SparseHamiltonian, coupling_field, electron_density,
-                     field_free_hamiltonian, mean_dipole_mu, photon_occupations,
-                     q_expectation, sector_density)
+from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
+                     electron_density, field_free_hamiltonian, mean_dipole_mu,
+                     photon_occupations, q_expectation, sector_dipoles)
 from .errors import ConfigurationError, PropagationAborted, StepSizeError
 from .grid import dipole_vector
 from .potentials import assemble_ks
@@ -82,7 +92,6 @@ class PropConfig:
     norm_tol_step: float = 1e-10
     use_energy_shift: bool = True
     fd_order: int = gridmod.DEFAULT_ORDER
-    record_sector_dipoles: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -130,160 +139,150 @@ def delta_kick(orbitals: OrbitalSet, strength: float, axis: int = 0) -> OrbitalS
     return OrbitalSet(orbitals.psi * phase, orbitals.occupations, orbitals.grid)
 
 
-def with_laser(v_local: np.ndarray, laser: LaserPulse | None, t: float, grid) -> np.ndarray:
-    """``v_local`` plus the length-gauge laser potential E(t).r, if there is a laser."""
-    if laser is None:
-        return v_local
-    return v_local + laser.field(t) * grid.coordinate(laser.axis)
+@dataclass
+class _Scheme:
+    """What one photon scheme brings to the stepping loop of :func:`_drive`.
 
+    ``cavity`` is the coupled mode, recorded in the series metadata.
+    ``photon_potential(density)`` returns the photon term of the local
+    potential for the next step; it is called at t = 0 and after every
+    step, with the new density, and advances the scheme's photon state.
+    ``sample(energy)`` turns the orbital energy of a sample into that
+    sample's photon columns and its energy ``E``.  ``ks_shifts`` takes the
+    energy shifts from V_KS alone instead of the full local term.
+    """
 
-def excitation_meta(cfg: PropConfig) -> dict:
-    """Series metadata describing the kick and the laser of a run."""
-    meta = {}
-    if cfg.kick_strength:
-        meta["kick_strength"] = cfg.kick_strength
-        meta["kick_axis"] = axis_name(cfg.kick_axis)
-    if cfg.laser is not None:
-        meta["laser_amplitude"] = cfg.laser.amplitude
-        meta["laser_carrier"] = cfg.laser.carrier
-        meta["laser_envelope_time"] = cfg.laser.envelope_time
-        meta["laser_axis"] = axis_name(cfg.laser.axis)
-    return meta
+    method: str
+    cavity: CavityMode | None
+    photon_potential: Callable
+    sample: Callable
+    ks_shifts: bool = False
 
 
 def propagate(state: ScfState, cfg: PropConfig) -> tuple[TimeSeries, OrbitalSet]:
-    """Propagate a converged ground state and record observables.
+    """Propagate a converged ground state on its Fock space and record observables.
+
+    The orbitals carry the photon sectors of ``state.cavity`` (one plain
+    Kohn-Sham stack without a cavity); the local term is V_KS + mu (lam.r)
+    and each sample's energy is :func:`total_energy` with the cavity.
+    See :func:`_drive` for the stepping, the checks and the recorded series.
+    """
+    cavity = state.cavity
+    lam_r = coupling_field(cavity, state.system.grid) if cavity is not None else 0.0
+    scheme = _Scheme("tensor-product", cavity,
+                     photon_potential=lambda density: mean_dipole_mu(density, cavity) * lam_r,
+                     sample=lambda energy: {"E": energy})
+    return _drive(state, cfg, scheme)
+
+
+def _drive(state: ScfState, cfg: PropConfig,
+           scheme: _Scheme) -> tuple[TimeSeries, OrbitalSet]:
+    """The stepping loop shared by the tensor-product and classical-photon schemes.
 
     Applies the configured delta kick at t = 0, then advances ``n_steps``
-    Taylor steps, rebuilding the mean-field potential from the density
-    after every step; the field-free operator is built once.  Norm drift
-    beyond ``norm_tol_step`` per step raises :class:`StepSizeError`;
-    non-finite values abort with the last good state attached.
+    Taylor steps under the static operator of ``state.cavity`` plus the
+    local term V_KS + photon term + E(t).r, the laser taken at mid-step;
+    the mean-field potential is rebuilt from the density after every step.
+    Every ``stride`` steps a sample records t, the dipole, on a Fock space
+    <q>, P_n and the sector dipoles, the scheme's columns and E, and the
+    norm.  Norm drift beyond ``norm_tol_step`` per step raises
+    :class:`StepSizeError`; non-finite orbitals or samples abort with the
+    last good state and the series of the samples before it attached.
     """
-    system, cavity = state.system, state.cavity
+    system, fock = state.system, state.cavity
     grid = system.grid
     v_ion = state.potential.v_ion
-    orbitals = delta_kick(state.orbitals, cfg.kick_strength, cfg.kick_axis) \
-        if cfg.kick_strength else state.orbitals.copy()
+    orbitals = delta_kick(state.orbitals, cfg.kick_strength, cfg.kick_axis)
+    columns: dict = {}
+    max_drift = 0.0
 
-    columns = {"t": []}
-    for a in range(grid.dim):
-        columns[f"D{axis_name(a)}"] = []
-    if cavity is not None:
-        columns["q"] = []
-        for n in range(orbitals.n_sectors):
-            columns[f"P{n}"] = []
-    columns["E"] = []
-    columns["norm"] = []
-    if cfg.record_sector_dipoles and cavity is not None:
-        for n in range(orbitals.n_sectors):
-            for a in range(grid.dim):
-                columns[f"D{axis_name(a)}_s{n}"] = []
+    def series() -> TimeSeries:
+        meta = {"method": scheme.method, "dt": cfg.dt, "n_steps": cfg.n_steps,
+                "propagator_order": cfg.order, "stride": cfg.stride,
+                "max_norm_drift": f"{max_drift:.3e}", "n_electrons": system.n_electrons}
+        if cfg.kick_strength:
+            meta["kick_strength"] = cfg.kick_strength
+            meta["kick_axis"] = axis_name(cfg.kick_axis)
+        if cfg.laser is not None:
+            meta["laser_amplitude"] = cfg.laser.amplitude
+            meta["laser_carrier"] = cfg.laser.carrier
+            meta["laser_envelope_time"] = cfg.laser.envelope_time
+            meta["laser_axis"] = axis_name(cfg.laser.axis)
+        if scheme.cavity is not None:
+            meta["cavity_omega"] = scheme.cavity.omega
+            meta["cavity_lambda"] = " ".join(f"{c:g}" for c in scheme.cavity.lam)
+        if fock is not None:
+            meta["n_fock"] = fock.n_fock
+        return TimeSeries(columns={k: np.asarray(v) for k, v in columns.items()}, meta=meta)
+
+    def abort(message, orbitals, t):
+        raise PropagationAborted(message, series=series(), orbitals=orbitals, time=t)
 
     def record(t, orbitals, density, pot, norms):
-        dip = dipole_vector(density.values, grid)
         row = {"t": t}
-        for a in range(grid.dim):
-            row[f"D{axis_name(a)}"] = dip[a]
-        if cavity is not None:
-            row["q"] = q_expectation(orbitals, cavity)
+        for a, d in enumerate(dipole_vector(density.values, grid)):
+            row[f"D{axis_name(a)}"] = d
+        if fock is not None:
+            row["q"] = q_expectation(orbitals, fock)
             for n, p in enumerate(photon_occupations(orbitals)):
                 row[f"P{n}"] = p
-        energy = total_energy(system, orbitals, cavity, potential=pot, fd_order=cfg.fd_order)
-        row["E"] = energy.total
+        energy = total_energy(system, orbitals, fock, potential=pot, fd_order=cfg.fd_order)
+        row.update(scheme.sample(energy.total))
         row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
-        if cfg.record_sector_dipoles and cavity is not None:
-            for n in range(orbitals.n_sectors):
-                p_n = sector_density(orbitals, n)
-                for a in range(grid.dim):
-                    row[f"D{axis_name(a)}_s{n}"] = float(
-                        np.sum(grid.coordinate(a) * p_n)) * grid.volume_element
-        append_sample(columns, row, t, orbitals,
-                      lambda: _finish_series(columns, cfg, state))
+        if fock is not None:
+            for n, dip in enumerate(sector_dipoles(orbitals)):
+                for a, d in enumerate(dip):
+                    row[f"D{axis_name(a)}_s{n}"] = d
+        if not columns:
+            columns.update((name, []) for name in row)
+        bad = [name for name, value in row.items() if not math.isfinite(value)]
+        if bad:
+            abort(f"non-finite sample ({', '.join(bad)}) at t = {t:.6g}", orbitals, t)
+        for name, value in row.items():
+            columns[name].append(value)
 
-    static = field_free_hamiltonian(grid, cavity, cfg.fd_order)
-    lam_r = coupling_field(cavity, grid) if cavity is not None else 0.0
-
-    def mean_field(density):
-        """The step's Kohn-Sham potential and V_KS + mu (lam.r)."""
-        pot = assemble_ks(density, system, v_ion=v_ion)
-        return pot, pot.total + mean_dipole_mu(density, cavity) * lam_r
-
+    static = field_free_hamiltonian(grid, fock, cfg.fd_order)
     density = electron_density(orbitals)
-    pot, v_mf = mean_field(density)
+    pot = assemble_ks(density, system, v_ion=v_ion)
+    v_local = pot.total + scheme.photon_potential(density)
     shifts = None
     if cfg.use_energy_shift:
-        shifts = orbital_eigenvalues(orbitals, SparseHamiltonian(static, v_mf))
+        v_shift = pot.total if scheme.ks_shifts else v_local
+        shifts = orbital_eigenvalues(orbitals, SparseHamiltonian(static, v_shift))
 
     norms_ref = orbitals.norms()
-    max_drift = 0.0
     t = 0.0
     record(t, orbitals, density, pot, norms_ref)
 
     for step in range(1, cfg.n_steps + 1):
-        ham = SparseHamiltonian(static, with_laser(v_mf, cfg.laser, t + 0.5 * cfg.dt, grid))
-        psi_new = taylor_step(orbitals.psi, ham, cfg.dt, cfg.order, shifts)
+        v_step = v_local
+        if cfg.laser is not None:
+            v_step = v_local + (cfg.laser.field(t + 0.5 * cfg.dt)
+                                * grid.coordinate(cfg.laser.axis))
+        psi = taylor_step(orbitals.psi, SparseHamiltonian(static, v_step), cfg.dt,
+                          cfg.order, shifts)
+        if not np.all(np.isfinite(psi.view(float))):
+            abort(f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})",
+                  orbitals, t)
 
-        if not np.all(np.isfinite(psi_new.view(float))):
-            series = _finish_series(columns, cfg, state)
-            raise PropagationAborted(
-                f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})",
-                series=series, orbitals=orbitals, time=t)
-
-        orbitals = OrbitalSet(psi_new, orbitals.occupations, grid)
+        orbitals = OrbitalSet(psi, orbitals.occupations, grid)
         t = step * cfg.dt
 
         norms = orbitals.norms()
         drift = float(np.max(np.abs(norms - norms_ref)))
-        max_drift = max(max_drift, abs(drift))
+        max_drift = max(max_drift, drift)
         if drift > cfg.norm_tol_step * step:
             raise StepSizeError(
                 f"norm drift {drift:.3e} after {step} steps exceeds "
                 f"{cfg.norm_tol_step:.1e} per step; reduce dt below {cfg.dt}")
 
         density = electron_density(orbitals)
-        pot, v_mf = mean_field(density)
+        pot = assemble_ks(density, system, v_ion=v_ion)
+        v_local = pot.total + scheme.photon_potential(density)
         if step % cfg.stride == 0:
             record(t, orbitals, density, pot, norms)
 
-    series = _finish_series(columns, cfg, state, max_drift=max_drift)
-    return series, orbitals
-
-
-def append_sample(columns: dict, row: dict, t: float, orbitals: OrbitalSet,
-                  partial_series) -> None:
-    """Append one sample to ``columns``, or abort if any value is not finite.
-
-    A non-finite sample raises :class:`PropagationAborted` carrying
-    ``partial_series()``, the series of the finite samples before it.
-    """
-    if not all(map(math.isfinite, row.values())):
-        bad = ", ".join(name for name, value in row.items() if not math.isfinite(value))
-        raise PropagationAborted(f"non-finite sample ({bad}) at t = {t:.6g}",
-                                 series=partial_series(), orbitals=orbitals, time=t)
-    for name, value in row.items():
-        columns[name].append(value)
-
-
-def _finish_series(columns, cfg: PropConfig, state: ScfState,
-                   max_drift: float = 0.0) -> TimeSeries:
-    cavity = state.cavity
-    meta = {
-        "method": "tensor-product",
-        "dt": cfg.dt,
-        "n_steps": cfg.n_steps,
-        "propagator_order": cfg.order,
-        "stride": cfg.stride,
-        "max_norm_drift": f"{max_drift:.3e}",
-        "n_electrons": state.system.n_electrons,
-        **excitation_meta(cfg),
-    }
-    if cavity is not None:
-        meta["cavity_omega"] = cavity.omega
-        meta["cavity_lambda"] = " ".join(f"{c:g}" for c in cavity.lam)
-        meta["n_fock"] = cavity.n_fock
-    return TimeSeries(columns={k: np.asarray(v) for k, v in columns.items()},
-                      meta=meta)
+    return series(), orbitals
 
 
 def overlap_deviation(orbitals: OrbitalSet) -> float:

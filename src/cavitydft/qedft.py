@@ -20,6 +20,11 @@ The conserved bookkeeping energy is
 
 which starts at the bare matter energy when q sits at its fixed point
 q0 = mu0 / w.
+
+The orbital steps, the checks and the recorded series are those of the
+stepping driver in :mod:`cavitydft.propagate`, which runs the
+tensor-product scheme too; this module supplies V_P, the Verlet update
+of (q, qdot) after each orbital step and the photon columns and energy.
 """
 
 from __future__ import annotations
@@ -28,15 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
-                     electron_density, field_free_hamiltonian, mean_dipole_mu)
-from .errors import PropagationAborted, StepSizeError
-from .grid import dipole_vector
-from .potentials import assemble_ks
-from .propagate import (PropConfig, append_sample, delta_kick, excitation_meta, taylor_step,
-                        with_laser)
-from .scf import ScfState, orbital_eigenvalues, total_energy
-from .timeseries import TimeSeries, axis_name
+from .cavity import CavityMode, OrbitalSet, coupling_field, mean_dipole_mu
+from .errors import UsageError
+from .propagate import PropConfig, _drive, _Scheme
+# kept bound here because bench/tracer.py wraps these names in this module
+from .propagate import assemble_ks, taylor_step, total_energy  # noqa: F401
+from .scf import ScfState
+from .timeseries import TimeSeries
 
 
 @dataclass
@@ -57,6 +60,18 @@ def photon_exchange_potential(mu: float, q: float, cavity: CavityMode,
     return (mu - cavity.omega * q) * coupling_field(cavity, grid)
 
 
+def verlet_step(q: float, qdot: float, acc: float, omega: float, drive: float,
+                dt: float) -> tuple:
+    """One velocity-Verlet step of (d^2/dt^2 + w^2) q = drive.
+
+    ``acc`` is the acceleration at the current (q, qdot) and ``drive`` the
+    forcing at the end of the step; returns the new (q, qdot, acc).
+    """
+    q_new = q + dt * qdot + 0.5 * dt**2 * acc
+    acc_new = drive - omega**2 * q_new
+    return q_new, qdot + 0.5 * dt * (acc + acc_new), acc_new
+
+
 def verlet_oscillator(q0: float, qdot0: float, omega: float, drive,
                       dt: float, n_steps: int) -> tuple:
     """Velocity-Verlet trajectory of (d^2/dt^2 + w^2) q = drive(t).
@@ -70,10 +85,7 @@ def verlet_oscillator(q0: float, qdot0: float, omega: float, drive,
     q[0], qd[0] = q0, qdot0
     acc = drive(0.0) - omega**2 * q0
     for i in range(n_steps):
-        q[i + 1] = q[i] + dt * qd[i] + 0.5 * dt**2 * acc
-        acc_new = drive(t[i + 1]) - omega**2 * q[i + 1]
-        qd[i + 1] = qd[i] + 0.5 * dt * (acc + acc_new)
-        acc = acc_new
+        q[i + 1], qd[i + 1], acc = verlet_step(q[i], qd[i], acc, omega, drive(t[i + 1]), dt)
     return t, q, qd
 
 
@@ -95,89 +107,35 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
     """Propagate coupled orbital / classical-photon dynamics.
 
     ``state`` must be a plain Kohn-Sham ground state (solved without the
-    cavity); the photon starts at its static fixed point with zero
-    velocity so that the delta kick is the only perturbation.  As in
-    :func:`~cavitydft.propagate.propagate`, the kinetic operator is built
-    once and each step's Kohn-Sham potential also gives that sample's
-    energy; non-finite values abort with the partial series attached.
+    cavity); a cavity-coupled state raises :class:`UsageError`.  The photon
+    starts at its static fixed point with zero velocity so that the delta
+    kick is the only perturbation.  The local term is V_KS + V_P, the energy
+    shifts come from V_KS alone, and each sample records q, qdot and
+    E = E_matter + mu^2/2 - w q mu + E_osc.  See
+    :func:`~cavitydft.propagate._drive` for the stepping, the checks and
+    the rest of the series.
     """
-    system = state.system
-    grid = system.grid
-    v_ion = state.potential.v_ion
+    if state.cavity is not None or state.orbitals.n_sectors != 1:
+        raise UsageError("qedft_propagate needs a Kohn-Sham ground state solved without "
+                         f"a cavity; this one has {state.orbitals.n_sectors} photon sectors")
+    grid, w = state.system.grid, cavity.omega
+    osc = PhotonOscillator(q=initial_displacement(state, cavity), qdot=0.0, omega=w)
+    mu = acc = None
 
-    orbitals = delta_kick(state.orbitals, cfg.kick_strength, cfg.kick_axis) \
-        if cfg.kick_strength else state.orbitals.copy()
-    density = electron_density(orbitals)
-    mu = mean_dipole_mu(density, cavity)
-    osc = PhotonOscillator(q=initial_displacement(state, cavity),
-                           qdot=0.0, omega=cavity.omega)
-    static = field_free_hamiltonian(grid, None, cfg.fd_order)
-    pot = assemble_ks(density, system, v_ion=v_ion)
-
-    shifts = None
-    if cfg.use_energy_shift:
-        shifts = orbital_eigenvalues(orbitals, SparseHamiltonian(static, pot.total))
-
-    columns = {"t": []}
-    for a in range(grid.dim):
-        columns[f"D{axis_name(a)}"] = []
-    columns.update({"q": [], "qdot": [], "E": [], "norm": []})
-
-    def record(t, orbitals, density, pot, norms, osc, mu):
-        dip = dipole_vector(density.values, grid)
-        row = {"t": t}
-        for a in range(grid.dim):
-            row[f"D{axis_name(a)}"] = dip[a]
-        row["q"] = osc.q
-        row["qdot"] = osc.qdot
-        e_mat = total_energy(system, orbitals, None, potential=pot,
-                             fd_order=cfg.fd_order).total
-        row["E"] = e_mat + 0.5 * mu**2 - cavity.omega * osc.q * mu + osc.energy()
-        row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
-        append_sample(columns, row, t, orbitals, finish)
-
-    def finish():
-        meta = {"method": "qedft", "dt": cfg.dt, "n_steps": cfg.n_steps,
-                "cavity_omega": cavity.omega,
-                "cavity_lambda": " ".join(f"{c:g}" for c in cavity.lam),
-                "n_electrons": system.n_electrons, **excitation_meta(cfg)}
-        return TimeSeries(columns={k: np.asarray(v) for k, v in columns.items()},
-                          meta=meta)
-
-    norms_ref = orbitals.norms()
-    t = 0.0
-    record(t, orbitals, density, pot, norms_ref, osc, mu)
-    acc = cavity.omega * mu - cavity.omega**2 * osc.q
-
-    for step in range(1, cfg.n_steps + 1):
-        v_p = photon_exchange_potential(mu, osc.q, cavity, grid)
-        ham = SparseHamiltonian(static, with_laser(pot.total + v_p, cfg.laser,
-                                                   t + 0.5 * cfg.dt, grid))
-        psi_new = taylor_step(orbitals.psi, ham, cfg.dt, cfg.order, shifts)
-        if not np.all(np.isfinite(psi_new.view(float))):
-            raise PropagationAborted(
-                f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})",
-                series=finish(), orbitals=orbitals, time=t)
-        q_new = osc.q + cfg.dt * osc.qdot + 0.5 * cfg.dt**2 * acc
-
-        orbitals = OrbitalSet(psi_new, orbitals.occupations, grid)
-        density = electron_density(orbitals)
+    def photon_potential(density):
+        nonlocal osc, mu, acc
         mu = mean_dipole_mu(density, cavity)
-        acc_new = cavity.omega * mu - cavity.omega**2 * q_new
-        osc = PhotonOscillator(q=q_new,
-                               qdot=osc.qdot + 0.5 * cfg.dt * (acc + acc_new),
-                               omega=cavity.omega)
-        acc = acc_new
-        t = step * cfg.dt
+        if acc is None:  # the first call, at t = 0 before any step
+            acc = w * mu - w**2 * osc.q
+        else:
+            q, qdot, acc = verlet_step(osc.q, osc.qdot, acc, w, w * mu, cfg.dt)
+            osc = PhotonOscillator(q=q, qdot=qdot, omega=w)
+        return photon_exchange_potential(mu, osc.q, cavity, grid)
 
-        norms = orbitals.norms()
-        drift = float(np.max(np.abs(norms - norms_ref)))
-        if drift > cfg.norm_tol_step * step:
-            raise StepSizeError(
-                f"norm drift {drift:.3e} after {step} steps; reduce dt below {cfg.dt}")
+    def sample(e_matter):
+        return {"q": osc.q, "qdot": osc.qdot,
+                "E": e_matter + 0.5 * mu**2 - w * osc.q * mu + osc.energy()}
 
-        pot = assemble_ks(density, system, v_ion=v_ion)
-        if step % cfg.stride == 0:
-            record(t, orbitals, density, pot, norms, osc, mu)
-
-    return finish(), orbitals, osc
+    series, orbitals = _drive(state, cfg, _Scheme("qedft", cavity, photon_potential, sample,
+                                                  ks_shifts=True))
+    return series, orbitals, osc

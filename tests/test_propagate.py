@@ -1,10 +1,12 @@
 import dataclasses
+import functools
+import types
 
 import numpy as np
 import pytest
 
-from cavitydft.cavity import (CavityMode, OrbitalSet, electron_density, mean_dipole_mu,
-                              q_expectation)
+from cavitydft.cavity import (CavityMode, OrbitalSet, apply_hamiltonian, electron_density,
+                              mean_dipole_mu, q_expectation)
 from cavitydft.errors import ConfigurationError, PropagationAborted, StepSizeError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
@@ -305,6 +307,115 @@ class TestMatchesStencilReference:
         e_mat = total_energy(system, final, None, fd_order=kick.fd_order).total
         energy = e_mat + 0.5 * mu**2 - w * osc.q * mu + osc.energy()
         assert abs(series["E"][-1] - energy) < 1e-12
+
+
+    @pytest.fixture(scope="class")
+    def laser(self):
+        pulse = LaserPulse(amplitude=0.02, carrier=0.3)
+        return PropConfig(dt=0.05, n_steps=self.N_STEPS, laser=pulse)
+
+    @staticmethod
+    def stencil(g, cav, v_local, mu, cfg, t):
+        """apply_hamiltonian with the laser field of the step from ``t``."""
+        efield = cfg.laser.vector(t + 0.5 * cfg.dt, g.dim)
+        return types.SimpleNamespace(apply=functools.partial(
+            apply_hamiltonian, v_local=v_local, mu=mu, cavity=cav, grid=g,
+            order=cfg.fd_order, efield=efield))
+
+    def test_tensor_product_laser(self, dimer, laser):
+        state, _, cav = dimer
+        system, g = state.system, state.system.grid
+        v_ion = state.potential.v_ion
+        orb = state.orbitals
+
+        def mean_field(psi):
+            density = electron_density(OrbitalSet(psi, orb.occupations, g))
+            pot = assemble_ks(density, system, v_ion=v_ion)
+            return pot.total, mean_dipole_mu(density, cav)
+
+        v, mu = mean_field(orb.psi)
+        shifts = orbital_eigenvalues(orb, HamiltonianContext(g, cav, v, mu, laser.fd_order))
+        psi, dips, qs = orb.psi, [], []
+        for step in range(self.N_STEPS + 1):
+            if step:
+                ctx = self.stencil(g, cav, *mean_field(psi), laser, (step - 1) * laser.dt)
+                psi = taylor_step(psi, ctx, laser.dt, laser.order, shifts)
+            current = OrbitalSet(psi, orb.occupations, g)
+            dips.append(dipole_integral(electron_density(current).values, g))
+            qs.append(q_expectation(current, cav))
+
+        series, final = propagate(state, laser)
+        assert np.max(np.abs(series["Dx"] - series["Dx"][0])) > 1e-4
+        assert np.max(np.abs(series["Dx"] - dips)) < 1e-12
+        assert np.max(np.abs(series["q"] - qs)) < 1e-12
+        assert np.max(np.abs(final.psi - psi)) < 1e-12
+        energy = total_energy(system, final, cav, fd_order=laser.fd_order).total
+        assert abs(series["E"][-1] - energy) < 1e-12
+
+    def test_classical_photon_laser(self, dimer, laser):
+        _, state, cav = dimer
+        system, g = state.system, state.system.grid
+        v_ion = state.potential.v_ion
+        orb = state.orbitals
+        w, dt = cav.omega, laser.dt
+
+        density = electron_density(orb)
+        mu = mean_dipole_mu(density, cav)
+        q, qdot = initial_displacement(state, cav), 0.0
+        pot = assemble_ks(density, system, v_ion=v_ion)
+        shifts = orbital_eigenvalues(orb, HamiltonianContext(g, None, pot.total, 0.0,
+                                                             laser.fd_order))
+        acc = w * mu - w**2 * q
+        psi, dips, qs = orb.psi, [dipole_integral(density.values, g)], [q]
+        for step in range(self.N_STEPS):
+            pot = assemble_ks(density, system, v_ion=v_ion)
+            v_p = photon_exchange_potential(mu, q, cav, g)
+            ctx = self.stencil(g, None, pot.total + v_p, 0.0, laser, step * dt)
+            psi = taylor_step(psi, ctx, dt, laser.order, shifts)
+            q_new = q + dt * qdot + 0.5 * dt**2 * acc
+            density = electron_density(OrbitalSet(psi, orb.occupations, g))
+            mu = mean_dipole_mu(density, cav)
+            acc_new = w * mu - w**2 * q_new
+            q, qdot, acc = q_new, qdot + 0.5 * dt * (acc + acc_new), acc_new
+            dips.append(dipole_integral(density.values, g))
+            qs.append(q)
+
+        series, final, osc = qedft_propagate(state, cav, laser)
+        assert np.max(np.abs(series["Dx"] - series["Dx"][0])) > 1e-4
+        assert np.max(np.abs(series["Dx"] - dips)) < 1e-12
+        assert np.max(np.abs(series["q"] - qs)) < 1e-12
+        assert np.max(np.abs(final.psi - psi)) < 1e-12
+        e_mat = total_energy(system, final, None, fd_order=laser.fd_order).total
+        energy = e_mat + 0.5 * mu**2 - w * osc.q * mu + osc.energy()
+        assert abs(series["E"][-1] - energy) < 1e-12
+
+
+class TestBothSchemes:
+    """Checks the shared driver makes for the tensor-product and classical-photon runs."""
+
+    @pytest.fixture(scope="class", params=["tensor-product", "qedft"])
+    def run(self, request, atom_state):
+        if request.param == "tensor-product":
+            return functools.partial(propagate, atom_state)
+        free = scf_solve(atom_state.system, None, ScfConfig(tol_energy=1e-12,
+                                                            tol_density=1e-10,
+                                                            max_iterations=4000))
+        return lambda cfg: qedft_propagate(free, atom_state.cavity, cfg)[:2]
+
+    def test_norm_drift_raises_step_size_error(self, run):
+        # an absurdly large step makes the truncated expansion blow up
+        with pytest.raises(StepSizeError, match=r"after 1 steps exceeds 1\.0e-10 per step; "
+                                                r"reduce dt below 5\.0$"):
+            run(PropConfig(dt=5.0, n_steps=10, norm_tol_step=1e-10, use_energy_shift=False))
+
+    def test_metadata_records_the_stepping(self, run):
+        series, _ = run(PropConfig(dt=0.05, n_steps=12, order=5, stride=3))
+        assert series.meta["propagator_order"] == 5
+        assert series.meta["stride"] == 3
+        assert series.n_samples == 5
+        # the drift over every step bounds the drift of the recorded samples
+        recorded = np.max(np.abs(series["norm"] - series["norm"][0]))
+        assert 0.999 * recorded <= float(series.meta["max_norm_drift"]) < 1e-10
 
 
 class TestPolaritonDynamics:

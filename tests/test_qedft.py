@@ -6,7 +6,8 @@ import pytest
 from cavitydft.cavity import CavityMode, coupling_field
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import Density, ElectronSystem, Ion
-from cavitydft.errors import PropagationAborted
+from cavitydft import qedft
+from cavitydft.errors import PropagationAborted, UsageError
 from cavitydft.propagate import LaserPulse, PropConfig
 from cavitydft.qedft import (PhotonOscillator, driven_oscillator_closed_form,
                              initial_displacement, photon_exchange_potential,
@@ -75,6 +76,20 @@ class TestVerletOscillator:
         e = 0.5 * qd**2 + 0.5 * 0.25**2 * q**2
         assert np.max(np.abs(e - e[0])) < 1e-6
 
+    def test_propagation_runs_the_same_step(self, ks_state, monkeypatch):
+        # the tested integrator is the one that advances the photon
+        calls, step = [], qedft.verlet_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(qedft, "verlet_step", counted)
+        cav = CavityMode(omega=0.07, coupling=(0.03,), n_fock=0)
+        _, _, osc = qedft_propagate(ks_state, cav, PropConfig(dt=0.05, n_steps=7))
+        assert len(calls) == 7
+        assert (osc.q, osc.qdot) == step(*calls[-1])[:2]
+
 
 class TestQedftPropagate:
     def test_zero_coupling_q_at_rest(self, ks_state):
@@ -119,6 +134,19 @@ class TestQedftPropagate:
         series, _, _ = qedft_propagate(ks_state, cav,
                                        PropConfig(dt=0.05, n_steps=10, laser=pulse))
         assert series.meta["laser_envelope_time"] == pulse.envelope_time
+
+    def test_rejects_cavity_state(self):
+        # Fock-sector orbitals would be read as independent spatial orbitals
+        g = Grid((41,), 0.4)
+        system = ElectronSystem(grid=g, ions=[Ion(1.0, (0.0,), 1.0)], occupations=[1.0])
+        cav = CavityMode(omega=0.1, coupling=(0.05,), n_fock=1)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-6, tol_density=1e-4))
+        assert state.orbitals.psi.shape == (1, 2, 41)
+        cfg = PropConfig(dt=0.05, n_steps=5)
+        with pytest.raises(UsageError, match="without a cavity"):
+            qedft_propagate(state, cav, cfg)
+        with pytest.raises(UsageError, match="has 2 photon sectors"):
+            qedft_propagate(dataclasses.replace(state, cavity=None), cav, cfg)
 
     def test_nan_aborts_with_partial_series(self, ks_state):
         # a NaN laser amplitude leaves the t = 0 sample finite and poisons
