@@ -14,7 +14,7 @@ truncated operator Hermitian.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -59,6 +59,11 @@ class CavityMode:
         """sqrt(n) for n = 0..N_F+1; exact to double precision."""
         return np.sqrt(np.arange(self.n_fock + 2, dtype=float))
 
+    @cached_property
+    def photon_energies(self) -> np.ndarray:
+        """(n + 1/2) w for n = 0..N_F."""
+        return (np.arange(self.n_sectors, dtype=float) + 0.5) * self.omega
+
     @classmethod
     def from_effective_volume(cls, omega: float, v_eff: float, polarization, n_fock: int):
         """Coupling magnitude from a cavity volume, lam = 1/sqrt(eps0 V).
@@ -75,8 +80,9 @@ class CavityMode:
         return cls(omega=omega, coupling=tuple(magnitude * pol / norm), n_fock=n_fock)
 
 
+@lru_cache(maxsize=16)
 def coupling_field(cavity: CavityMode, grid: Grid) -> np.ndarray:
-    """The scalar field lam . r on the grid."""
+    """The scalar field lam . r on the grid; shared between calls, so read-only."""
     lam = cavity.lam
     if len(lam) != grid.dim:
         raise GridMismatchError(
@@ -85,6 +91,7 @@ def coupling_field(cavity: CavityMode, grid: Grid) -> np.ndarray:
     for axis, la in enumerate(lam):
         if la != 0.0:
             out = out + la * grid.coordinate(axis)
+    out.setflags(write=False)
     return out
 
 
@@ -126,11 +133,21 @@ class OrbitalSet:
     def copy(self) -> "OrbitalSet":
         return OrbitalSet(self.psi.copy(), self.occupations.copy(), self.grid)
 
-    def norms(self) -> np.ndarray:
+    def abs2(self) -> np.ndarray:
+        """|phi_mn(r)|^2 for every orbital, sector and point, shaped like ``psi``.
+
+        Functions with an ``abs2`` argument accept this array instead of
+        forming it again from the same orbitals.
+        """
+        return np.abs(self.psi) ** 2
+
+    def norms(self, abs2: np.ndarray | None = None) -> np.ndarray:
         """Full norm of each orbital, summed over sectors and space."""
+        if abs2 is None:
+            abs2 = self.abs2()
         dv = self.grid.volume_element
         axes = tuple(range(1, self.psi.ndim))
-        return np.sqrt(np.sum(np.abs(self.psi) ** 2, axis=axes) * dv)
+        return np.sqrt(np.sum(abs2, axis=axes) * dv)
 
     def normalized(self) -> "OrbitalSet":
         norms = self.norms()
@@ -164,7 +181,6 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
     ``(sectors,)``; the trailing axes must match the grid.
     """
     psi = np.asarray(psi, dtype=complex)
-    grid.check_field(psi)
     grid.check_field(v_local)
 
     v_eff = v_local
@@ -190,10 +206,8 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
     out += v_eff * psi
 
     # diagonal photon energy (n + 1/2) w per sector
-    n_vals = np.arange(cavity.n_sectors, dtype=float)
-    diag = (n_vals + 0.5) * cavity.omega
     bshape = (1,) * sector_axis + (cavity.n_sectors,) + (1,) * grid.dim
-    out += diag.reshape(bshape) * psi
+    out += cavity.photon_energies.reshape(bshape) * psi
 
     # bilinear coupling: connects n to n-1 and n+1
     if np.any(cavity.lam != 0.0) and cavity.n_fock > 0:
@@ -240,7 +254,7 @@ def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None,
         return kinetic
 
     n_sec = cavity.n_sectors
-    photon = sparse.diags_array((np.arange(n_sec) + 0.5) * cavity.omega)
+    photon = sparse.diags_array(cavity.photon_energies)
     out = (sparse.kron(sparse.eye_array(n_sec), kinetic)
            + sparse.kron(photon, sparse.eye_array(grid.n_points)))
     if n_sec > 1:
@@ -253,28 +267,43 @@ def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None,
     return out
 
 
-@dataclass
 class SparseHamiltonian:
     """The coupled one-body Hamiltonian: a static matrix plus a local potential.
 
     ``static`` comes from :func:`field_free_hamiltonian`; ``v_local`` is the
     grid field added on every sector, V_KS + mu (lam.r) + E(t).r in the
-    terms of :func:`apply_hamiltonian`, whose result :meth:`apply` gives
-    with one sparse product per call.
+    terms of :func:`apply_hamiltonian`, whose result :meth:`apply` gives.
+    The potential lives on the diagonal of a private copy of ``static``, so
+    an apply is one sparse product and :meth:`set_potential` swaps the
+    potential in place, without building a new matrix.
     """
 
-    static: sparse.csr_array
-    v_local: np.ndarray
+    def __init__(self, static: sparse.csr_array, v_local: np.ndarray):
+        matrix = sparse.csr_array(static, copy=True)
+        matrix.sum_duplicates()
+        n = matrix.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        diagonal = np.flatnonzero(matrix.indices == rows)
+        if len(diagonal) != n:
+            raise UsageError("the static matrix must store its whole diagonal")
+        self.matrix = matrix
+        self._diagonal = diagonal
+        self._static_diagonal = matrix.data[diagonal].copy()
+        self.set_potential(v_local)
+
+    def set_potential(self, v_local: np.ndarray) -> None:
+        """Make ``v_local`` (one grid field, added on every sector) the local potential."""
+        v = np.asarray(v_local, dtype=float).ravel()
+        self.matrix.data[self._diagonal] = (
+            self._static_diagonal.reshape(-1, v.size) + v).ravel()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi for ``psi`` of shape (..., sectors, *grid) or (..., *grid) without a cavity."""
         psi = np.asarray(psi, dtype=complex)
         # one column per orbital, the real and imaginary parts side by side,
         # so the matrix stays real
-        cols = np.ascontiguousarray(psi.reshape(-1, self.static.shape[0]).T)
-        out = (self.static @ cols.view(float)).view(complex).T.reshape(psi.shape)
-        out += self.v_local * psi
-        return out
+        cols = np.ascontiguousarray(psi.reshape(-1, self.matrix.shape[0]).T)
+        return (self.matrix @ cols.view(float)).view(complex).T.reshape(psi.shape)
 
 
 def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:
@@ -288,20 +317,22 @@ def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:
     return float(mu)
 
 
-def sector_weights(orbitals: OrbitalSet) -> np.ndarray:
+def sector_weights(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> np.ndarray:
     """Occupation-weighted norm per sector, sum_m c_m <phi_mn|phi_mn>."""
+    if abs2 is None:
+        abs2 = orbitals.abs2()
     dv = orbitals.grid.volume_element
     axes = tuple(range(2, orbitals.psi.ndim))
-    per = np.sum(np.abs(orbitals.psi) ** 2, axis=axes) * dv  # (m, n)
+    per = np.sum(abs2, axis=axes) * dv  # (m, n)
     return orbitals.occupations @ per
 
 
-def photon_occupations(orbitals: OrbitalSet) -> np.ndarray:
+def photon_occupations(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> np.ndarray:
     """Photon number probabilities P_n (non-negative, summing to one)."""
     n_el = orbitals.n_electrons
     if n_el <= 0:
         raise UsageError("photon occupations undefined for zero electrons")
-    return sector_weights(orbitals) / n_el
+    return sector_weights(orbitals, abs2) / n_el
 
 
 def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:
@@ -327,20 +358,25 @@ def sector_density(orbitals: OrbitalSet, n: int) -> np.ndarray:
     return np.sum(occ * np.abs(orbitals.psi[:, n]) ** 2, axis=0)
 
 
-def electron_density(orbitals: OrbitalSet) -> Density:
+def electron_density(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> Density:
     """Total density rho = sum_n p_n."""
+    if abs2 is None:
+        abs2 = orbitals.abs2()
     occ = orbitals.occupations.reshape((-1, 1) + (1,) * orbitals.grid.dim)
-    rho = np.sum(occ * np.abs(orbitals.psi) ** 2, axis=(0, 1))
+    rho = np.sum(occ * abs2, axis=(0, 1))
     return Density(rho, orbitals.grid, orbitals.n_electrons)
 
 
-def sector_dipoles(orbitals: OrbitalSet) -> np.ndarray:
+def sector_dipoles(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> np.ndarray:
     """Dipole vector of every sector density, shape (n_sectors, dim)."""
-    out = np.empty((orbitals.n_sectors, orbitals.grid.dim))
-    for n in range(orbitals.n_sectors):
-        p = sector_density(orbitals, n)
-        out[n] = gridmod.dipole_vector(p, orbitals.grid)
-    return out
+    if abs2 is None:
+        abs2 = orbitals.abs2()
+    grid = orbitals.grid
+    occ = orbitals.occupations.reshape((-1, 1) + (1,) * grid.dim)
+    p = np.sum(occ * abs2, axis=0)  # (sectors, *grid)
+    axes = tuple(range(1, p.ndim))
+    return np.stack([np.sum(p * grid.coordinate(a), axis=axes) for a in range(grid.dim)],
+                    axis=1) * grid.volume_element
 
 
 def annihilation_matrix(n_fock: int) -> np.ndarray:

@@ -10,7 +10,7 @@ summation order, so every operation here is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -102,6 +102,19 @@ class Grid:
             )
 
 
+@lru_cache(maxsize=32)
+def _laplacian_weights(grid: Grid, order: int) -> np.ndarray:
+    """The stencil of :func:`laplacian` divided by h^2; shared, so read-only."""
+    weights = d2_stencil(order) / grid.h**2
+    half = (len(weights) - 1) // 2
+    if any(n <= half for n in grid.shape):
+        raise ConfigurationError(
+            f"grid shape {grid.shape} too small for {order}-point stencil"
+        )
+    weights.setflags(write=False)
+    return weights
+
+
 def laplacian(f: np.ndarray, grid: Grid, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Apply the finite-difference Laplacian to ``f`` (hard-wall boundaries).
 
@@ -110,12 +123,7 @@ def laplacian(f: np.ndarray, grid: Grid, order: int = DEFAULT_ORDER) -> np.ndarr
     taken to be zero, which keeps the discrete operator symmetric.
     """
     grid.check_field(f)
-    weights = d2_stencil(order) / grid.h**2
-    half = (len(weights) - 1) // 2
-    if any(n <= half for n in grid.shape):
-        raise ConfigurationError(
-            f"grid shape {grid.shape} too small for {order}-point stencil"
-        )
+    weights = _laplacian_weights(grid, order)
     f = np.asarray(f)
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     if np.iscomplexobj(f):

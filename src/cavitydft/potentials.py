@@ -175,18 +175,31 @@ def hartree_potential_1d(rho: np.ndarray, grid: Grid, softening: float) -> np.nd
     return full[n - 1 : 2 * n - 1] * grid.h
 
 
+@lru_cache(maxsize=4)
+def _padded_geometry(grid: Grid, pad: int) -> tuple:
+    """Coordinates (open mesh), r and r^3 on the grid grown by ``pad`` points per side.
+
+    r is clamped to h/2 so that the interior, which the boundary field
+    overwrites, never divides by zero.  The arrays are shared: read-only.
+    """
+    padded_axes = [
+        (np.arange(-pad, n + pad) - (n - 1) / 2.0) * grid.h for n in grid.shape
+    ]
+    coords = np.meshgrid(*padded_axes, indexing="ij", sparse=True)
+    r2 = sum(c**2 for c in coords)
+    r = np.maximum(np.sqrt(r2), 0.5 * grid.h)
+    r3 = r**3
+    for a in (*coords, r, r3):
+        a.setflags(write=False)
+    return tuple(coords), r, r3
+
+
 def _multipole_boundary(rho: np.ndarray, grid: Grid, pad: int) -> np.ndarray:
     """Padded field holding monopole+dipole potential values in the pad ring."""
     charge = float(integrate(rho, grid))
     dip = dipole_vector(rho, grid)
-    padded_axes = [
-        (np.arange(-pad, n + pad) - (n - 1) / 2.0) * grid.h for n in grid.shape
-    ]
-    coords = np.meshgrid(*padded_axes, indexing="ij")
-    r2 = sum(c**2 for c in coords)
-    # interior values are overwritten below; clamp r there to avoid 1/0
-    r = np.maximum(np.sqrt(r2), 0.5 * grid.h)
-    vb = charge / r + sum(d * c for d, c in zip(dip, coords)) / r**3
+    coords, r, r3 = _padded_geometry(grid, pad)
+    vb = charge / r + sum(d * c for d, c in zip(dip, coords)) / r3
     interior = tuple(slice(pad, pad + n) for n in grid.shape)
     vb[interior] = 0.0
     return vb
@@ -283,40 +296,35 @@ def lda_xc(density: Density) -> tuple[np.ndarray, float]:
     """LDA exchange-correlation potential and energy.
 
     Returns ``(v_xc, e_xc)`` with v_xc = d(e_xc)/d(rho) pointwise.  Regions
-    with rho = 0 contribute nothing (continuity limit).
+    with rho = 0 contribute nothing (continuity limit).  Both Perdew-Zunger
+    branches are evaluated on every point and the one for each r_s is kept,
+    which on small grids costs less than gathering and scattering subsets.
     """
     rho = np.clip(np.asarray(density.values, dtype=float), 0.0, None)
     mask = rho > _DENSITY_FLOOR
-    v = np.zeros_like(rho)
-    eps = np.zeros_like(rho)
-
-    r = rho[mask]
+    # any positive stand-in keeps the discarded points finite
+    r = np.where(mask, rho, 1.0)
     rs = (3.0 / (4.0 * np.pi * r)) ** (1.0 / 3.0)
 
     eps_x = -_CX * r ** (1.0 / 3.0)
     v_x = (4.0 / 3.0) * eps_x
 
-    eps_c = np.empty_like(r)
-    v_c = np.empty_like(r)
-    low = rs >= 1.0
-    if np.any(low):
-        s = np.sqrt(rs[low])
-        denom = 1.0 + _PZ_BETA1 * s + _PZ_BETA2 * rs[low]
-        ec = _PZ_GAMMA / denom
-        eps_c[low] = ec
-        v_c[low] = ec * (1.0 + (7.0 / 6.0) * _PZ_BETA1 * s
-                         + (4.0 / 3.0) * _PZ_BETA2 * rs[low]) / denom
-    high = ~low
-    if np.any(high):
-        rsh = rs[high]
-        ln = np.log(rsh)
-        eps_c[high] = _PZ_A * ln + _PZ_B + _PZ_C * rsh * ln + _PZ_D * rsh
-        v_c[high] = (_PZ_A * ln + (_PZ_B - _PZ_A / 3.0)
-                     + (2.0 / 3.0) * _PZ_C * rsh * ln
-                     + (2.0 * _PZ_D - _PZ_C) / 3.0 * rsh)
+    # r_s >= 1
+    s = np.sqrt(rs)
+    denom = 1.0 + _PZ_BETA1 * s + _PZ_BETA2 * rs
+    ec_low = _PZ_GAMMA / denom
+    vc_low = ec_low * (1.0 + (7.0 / 6.0) * _PZ_BETA1 * s
+                       + (4.0 / 3.0) * _PZ_BETA2 * rs) / denom
+    # r_s < 1
+    ln = np.log(rs)
+    ec_high = _PZ_A * ln + _PZ_B + _PZ_C * rs * ln + _PZ_D * rs
+    vc_high = (_PZ_A * ln + (_PZ_B - _PZ_A / 3.0)
+               + (2.0 / 3.0) * _PZ_C * rs * ln
+               + (2.0 * _PZ_D - _PZ_C) / 3.0 * rs)
 
-    eps[mask] = eps_x + eps_c
-    v[mask] = v_x + v_c
+    low = rs >= 1.0
+    eps = np.where(mask, eps_x + np.where(low, ec_low, ec_high), 0.0)
+    v = np.where(mask, v_x + np.where(low, vc_low, vc_high), 0.0)
     e_xc = float(integrate(eps * rho, density.grid))
     return v, e_xc
 

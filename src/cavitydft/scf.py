@@ -370,6 +370,7 @@ class _Minimizer:
 def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
                  cavity: CavityMode | None, *,
                  potential: KsPotential | None = None,
+                 abs2: np.ndarray | None = None,
                  fd_order: int = gridmod.DEFAULT_ORDER) -> EnergyDecomposition:
     """Energy of an orbital set, decomposed into additive pieces.
 
@@ -380,7 +381,8 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
 
     ``potential``, when given, must be the Kohn-Sham potential assembled
     from this orbital set's density: its ``v_ion``, ``e_hartree`` and
-    ``e_xc`` are used instead of rebuilding them.
+    ``e_xc`` are used instead of rebuilding them.  ``abs2``, when given,
+    is ``orbitals.abs2()``; the density, P_n and mu all come from it.
     """
     grid = system.grid
     dv = grid.volume_element
@@ -393,7 +395,9 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
                                lap.reshape(orbitals.n_orbitals, -1)).real * dv
     e_kin = float(occ @ per_orb)
 
-    rho = electron_density(orbitals)
+    if abs2 is None:
+        abs2 = orbitals.abs2()
+    rho = electron_density(orbitals, abs2)
     if potential is not None:
         v_ion, e_h, e_xc = potential.v_ion, potential.e_hartree, potential.e_xc
     else:
@@ -411,7 +415,7 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
     if cavity is None:
         return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, 0.0, 0.0, 0.0)
 
-    pn = photon_occupations(orbitals)
+    pn = photon_occupations(orbitals, abs2)
     e_photon = cavity.omega * float(np.sum((np.arange(len(pn)) + 0.5) * pn))
 
     mu = mean_dipole_mu(rho, cavity)
@@ -457,7 +461,7 @@ def state_from_orbitals(system: ElectronSystem, cavity: CavityMode | None,
     rho = electron_density(orbitals)
     pot = assemble_ks(rho, system)
     mu = mean_dipole_mu(rho, cavity)
-    energy = total_energy(system, orbitals, cavity)
+    energy = total_energy(system, orbitals, cavity, potential=pot)
     return ScfState(orbitals=orbitals, density=rho, potential=pot, mu=mu,
                     cavity=cavity, system=system, energy=energy,
                     iterations=0, converged=True, history=[])
@@ -505,11 +509,15 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
             orbitals = gram_schmidt_sectorwise(
                 OrbitalSet(psi_new, orbitals.occupations, grid))
 
-        rho_out = electron_density(orbitals).values
-        energy = total_energy(system, orbitals, cavity, fd_order=cfg.fd_order)
+        abs2 = orbitals.abs2()
+        density_out = electron_density(orbitals, abs2)
+        rho_out = density_out.values
+        energy = total_energy(system, orbitals, cavity,
+                              potential=assemble_ks(density_out, system, v_ion=v_ion),
+                              abs2=abs2, fd_order=cfg.fd_order)
         d_e = np.inf if energy_prev is None else energy.total - energy_prev
         d_rho = float(np.sum(np.abs(rho_out - rho_in))) * grid.volume_element
-        pn = photon_occupations(orbitals) if cavity is not None else np.array([1.0])
+        pn = photon_occupations(orbitals, abs2) if cavity is not None else np.array([1.0])
 
         history.append({"iteration": iteration, "energy": energy.total,
                         "delta_energy": d_e, "delta_density": d_rho,
@@ -575,7 +583,8 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     rho_final = electron_density(orbitals)
     pot_final = assemble_ks(rho_final, system, v_ion=v_ion)
     mu_final = mean_dipole_mu(rho_final, cavity)
-    energy_final = total_energy(system, orbitals, cavity, fd_order=cfg.fd_order)
+    energy_final = total_energy(system, orbitals, cavity, potential=pot_final,
+                                fd_order=cfg.fd_order)
     return ScfState(orbitals=orbitals, density=rho_final, potential=pot_final,
                     mu=mu_final, cavity=cavity, system=system,
                     energy=energy_final, iterations=iteration,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 
 from .errors import AnalysisError, ConfigurationError, GridMismatchError, UsageError
 from .grid import Grid
@@ -104,24 +105,50 @@ class Spectrum:
                 fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _uniform_step(x: np.ndarray, what: str) -> float:
+    """Spacing of a uniform 1D grid; :class:`UsageError` if it is not uniform."""
+    if len(x) < 2:
+        return 0.0
+    step = (x[-1] - x[0]) / (len(x) - 1)
+    off = np.max(np.abs(x - (x[0] + step * np.arange(len(x)))))
+    # a few ulps of the largest value cover grids built as start + k * step
+    if off > 1e-9 * abs(step) + 16.0 * np.finfo(float).eps * np.max(np.abs(x)):
+        raise UsageError(f"{what} must be uniformly spaced (off by {off:.3e})")
+    return float(step)
+
+
 def damped_transform(t: np.ndarray, f: np.ndarray, omega: np.ndarray,
-                     eta: float, sign: int = +1, chunk: int = 64) -> np.ndarray:
+                     eta: float, sign: int = +1) -> np.ndarray:
     """Riemann-sum transform  sum_t f(t) exp(sign i w t) exp(-eta^2 t^2) dt.
 
-    Chunked over frequencies to bound memory; deterministic binning.
+    Both ``t`` and ``omega`` must be uniform grids.  With t_n = t_0 + n dt
+    and w_k = w_0 + k dw the sum is a chirp-z transform (Rabiner, Schafer &
+    Rader 1969): the product k n is written as (k^2 + n^2 - (k - n)^2) / 2
+    (Bluestein 1970), which turns the N x M phase sum into one convolution
+    of length N + M - 1 evaluated by FFT, O((N + M) log(N + M)) time and
+    O(N + M) memory; t_0 enters as the phase exp(sign i w_k t_0).
     """
     t = np.asarray(t, dtype=float)
-    f = np.asarray(f)
+    omega = np.asarray(omega, dtype=float)
     if len(t) < 2:
         raise UsageError("time series too short for a transform")
-    dt = t[1] - t[0]
-    damped = f * np.exp(-(eta * t) ** 2)
-    out = np.empty(len(omega), dtype=complex)
-    for start in range(0, len(omega), chunk):
-        block = omega[start:start + chunk]
-        phases = np.exp((1j * sign) * np.outer(block, t))
-        out[start:start + chunk] = phases @ damped
-    return out * dt
+    dt = _uniform_step(t, "sample times")
+    d_omega = _uniform_step(omega, "frequencies")
+    n, m = len(t), len(omega)
+    if m == 0:
+        return np.empty(0, dtype=complex)
+    # c_j = exp(sign i a j^2 / 2), a = dw dt, for j = 0 .. max(n, m) - 1
+    j = np.arange(max(n, m), dtype=float)
+    chirp = np.exp(1j * ((0.5 * sign * d_omega * dt) * (j * j)))
+    u = np.asarray(f) * np.exp(-(eta * t) ** 2)
+    u = u * np.exp((1j * sign * omega[0] * dt) * np.arange(n)) * chirp[:n]
+    # sum_n u_n conj(c_{k-n}) for k = 0 .. m - 1, by circular convolution
+    size = fft.next_fast_len(n + m - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:m] = chirp[:m].conj()
+    kernel[size - n + 1:] = chirp[1:n][::-1].conj()
+    conv = fft.ifft(fft.fft(u, size) * fft.fft(kernel))[:m]
+    return conv * chirp[:m] * np.exp((1j * sign * t[0]) * omega) * dt
 
 
 def polarizability(series: TimeSeries, cfg: SpectrumConfig, *,

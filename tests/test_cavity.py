@@ -10,7 +10,7 @@ from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian,
                               mean_dipole_mu, photon_occupations,
                               q_expectation, sector_density, sector_dipoles)
 from cavitydft.errors import ConfigurationError, UsageError
-from cavitydft.grid import Grid, integrate, laplacian
+from cavitydft.grid import Grid, dipole_vector, integrate, laplacian
 from cavitydft.potentials import Density
 
 
@@ -176,6 +176,21 @@ class TestSparseHamiltonian:
         assert out.shape == psi.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_set_potential_replaces_the_local_term(self):
+        grid = Grid((31,), 0.4)
+        cav = CavityMode(omega=0.3, coupling=(0.3,), n_fock=2)
+        static = field_free_hamiltonian(grid, cav)
+        before = static.copy()
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal((1, 3, 31)) + 1j * rng.standard_normal((1, 3, 31))
+        v1, v2 = rng.standard_normal((2, 31))
+        ham = SparseHamiltonian(static, v1)
+        ham.set_potential(v2)
+        assert np.array_equal(ham.apply(psi), SparseHamiltonian(static, v2).apply(psi))
+        ref = apply_hamiltonian(psi, v2, 0.0, cav, grid)
+        assert np.max(np.abs(ham.apply(psi) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert (static != before).nnz == 0
+
 
 class TestMeanDipole:
     def test_symmetric_density(self, grid, cavity):
@@ -279,6 +294,22 @@ class TestObservables:
         orbs = OrbitalSet(psi, [1.0], grid).normalized()
         d = sector_dipoles(orbs)
         assert d.shape == (3, 1)
+
+    def test_sector_dipoles_match_sector_densities(self):
+        g = Grid((7, 8, 9), 0.5)
+        rng = np.random.default_rng(12)
+        psi = rng.standard_normal((2, 3) + g.shape) + 1j * rng.standard_normal((2, 3) + g.shape)
+        orbs = OrbitalSet(psi, [2.0, 1.0], g).normalized()
+        ref = np.array([dipole_vector(sector_density(orbs, n), g) for n in range(3)])
+        d = sector_dipoles(orbs)
+        assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(sector_dipoles(orbs, orbs.abs2()), d)
+
+    def test_coupling_field_cache_is_read_only(self):
+        cav = CavityMode(omega=0.1, coupling=(0.1, 0.1, 0.0), n_fock=1)
+        f = coupling_field(cav, Grid((9, 9, 9), 0.5))
+        assert f is coupling_field(CavityMode(0.1, (0.1, 0.1, 0.0), 1), Grid((9, 9, 9), 0.5))
+        assert not f.flags.writeable
 
     def test_coupling_field_3d(self):
         g = Grid((9, 9, 9), 0.5)

@@ -156,6 +156,12 @@ class TestHartree3D:
         assert not inverse.flags.writeable
         assert np.all(inverse > 0)
 
+    def test_padded_geometry_cache_is_read_only(self):
+        coords, r, r3 = potentials._padded_geometry(Grid((9, 7, 5), 0.5), 4)
+        assert r is potentials._padded_geometry(Grid((9, 7, 5), 0.5), 4)[1]
+        assert r.shape == (17, 15, 13)
+        assert not any(a.flags.writeable for a in (*coords, r, r3))
+
     def test_preconditioned_cg_needs_few_matvecs(self, monkeypatch):
         calls = []
 
@@ -209,6 +215,63 @@ class TestLdaXc:
         rho = np.full(line.shape, -1e-13)
         v, e = lda_xc(Density(rho, line, 0.0))
         assert np.all(v == 0.0) and e == 0.0
+
+    @staticmethod
+    def masked_reference(rho, grid):
+        """The masked-gather form of the same formulas, kept to pin the bits."""
+        rho = np.clip(np.asarray(rho, dtype=float), 0.0, None)
+        mask = rho > 1e-30
+        v = np.zeros_like(rho)
+        eps = np.zeros_like(rho)
+        r = rho[mask]
+        rs = (3.0 / (4.0 * np.pi * r)) ** (1.0 / 3.0)
+        eps_x = -potentials._CX * r ** (1.0 / 3.0)
+        v_x = (4.0 / 3.0) * eps_x
+        gamma, b1, b2 = -0.1423, 1.0529, 0.3334
+        a, b, c, d = 0.0311, -0.048, 0.0020, -0.0116
+        eps_c = np.empty_like(r)
+        v_c = np.empty_like(r)
+        low = rs >= 1.0
+        if np.any(low):
+            s = np.sqrt(rs[low])
+            denom = 1.0 + b1 * s + b2 * rs[low]
+            ec = gamma / denom
+            eps_c[low] = ec
+            v_c[low] = ec * (1.0 + (7.0 / 6.0) * b1 * s + (4.0 / 3.0) * b2 * rs[low]) / denom
+        high = ~low
+        if np.any(high):
+            rsh = rs[high]
+            ln = np.log(rsh)
+            eps_c[high] = a * ln + b + c * rsh * ln + d * rsh
+            v_c[high] = (a * ln + (b - a / 3.0) + (2.0 / 3.0) * c * rsh * ln
+                         + (2.0 * d - c) / 3.0 * rsh)
+        eps[mask] = eps_x + eps_c
+        v[mask] = v_x + v_c
+        return v, float(integrate(eps * rho, grid))
+
+    @pytest.mark.parametrize("case", ["mixed", "zeros", "tiny", "negative", "low", "high"])
+    def test_bit_identical_to_masked_form(self, line, case):
+        rng = np.random.default_rng(11)
+        x = line.coordinate(0)
+        rho = {
+            # both branches (r_s < 1 where rho > 3 / (4 pi)), zeros, tiny and
+            # negative values on one line
+            "mixed": np.concatenate([np.zeros(20), np.full(10, 1e-31), np.full(10, -1e-14),
+                                     np.full(10, 1e-29),
+                                     rng.uniform(0.0, 3.0, 151)]),
+            "zeros": np.zeros(line.shape),
+            "tiny": rng.uniform(0.0, 2e-30, line.shape),
+            "negative": -rng.uniform(0.0, 1e-12, line.shape),
+            "low": 0.2 * np.exp(-x**2),
+            "high": 0.3 + 2.0 * np.exp(-x**2),
+        }[case]
+        rs = (3.0 / (4.0 * np.pi * np.clip(rho, 1e-300, None))) ** (1.0 / 3.0)
+        if case == "mixed":
+            assert np.any(rs < 1.0) and np.any((rs >= 1.0) & (rho > 1e-30))
+        v, e = lda_xc(Density(rho, line, 1.0))
+        v_ref, e_ref = self.masked_reference(rho, line)
+        assert np.array_equal(v, v_ref)
+        assert e == e_ref
 
 
 class TestAssembleKs:

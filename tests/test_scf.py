@@ -293,3 +293,31 @@ class TestTotalEnergy:
         total = (e.kinetic + e.external + e.hartree + e.xc + e.photon
                  + e.coupling + e.dipole_self)
         assert e.total == total  # bit-exact bookkeeping
+
+
+class TestBitIdentity:
+    """Two small solves pinned to their iteration count and energy bits.
+
+    The SCF is sensitive to rounding (one ulp in a step changes the count),
+    so any change on its path must leave these values exactly as they are.
+    """
+
+    def test_imaginary_time_hartree_lda_cavity(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4),
+                                ions=[Ion(1.0, (-1.2,), 1.0), Ion(1.0, (1.2,), 1.0)],
+                                occupations=[2.0])
+        cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-10, tol_density=1e-8,
+                                                 max_iterations=2000))
+        assert state.iterations == 372
+        assert float(state.energy.total).hex() == "-0x1.1713268eeddadp+1"
+
+    def test_conjugate_gradient_two_photons(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
+                                occupations=[1.0])
+        cav = CavityMode(omega=0.2, coupling=(0.1,), n_fock=2)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-11, tol_density=1e-9,
+                                                 minimizer="conjugate-gradient",
+                                                 max_iterations=2000))
+        assert state.iterations == 1019
+        assert float(state.energy.total).hex() == "-0x1.7f039abb5ec44p-1"

@@ -323,3 +323,63 @@ class TestDampedTransform:
         for i, w in enumerate(omega):
             direct = np.sum(f * np.exp(1j * w * t) * np.exp(-(eta * t) ** 2)) * 0.1
             assert out[i] == pytest.approx(direct, rel=1e-12)
+
+    @staticmethod
+    def direct_sum(t, f, omega, eta, sign):
+        damped = f * np.exp(-(eta * t) ** 2)
+        out = np.empty(len(omega), dtype=complex)
+        for start in range(0, len(omega), 64):
+            block = omega[start:start + 64]
+            out[start:start + 64] = np.exp((1j * sign) * np.outer(block, t)) @ damped
+        return out * (t[1] - t[0])
+
+    @staticmethod
+    def long_series():
+        # the size of one dimer-kick spectrum: 6001 samples, 2101 frequencies;
+        # t starts at dt as in hhg_spectrum
+        rng = np.random.default_rng(5)
+        t = 0.1 * np.arange(1, 6002)
+        f = np.sin(0.08 * t) + 1e-3 * np.cumsum(rng.standard_normal(len(t)))
+        omega = SpectrumConfig(omega_min=0.01, omega_max=0.22, omega_step=1e-4).frequencies()
+        return t, f, omega
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_chirp_z_matches_direct_sum_at_full_size(self, sign):
+        t, f, omega = self.long_series()
+        assert (len(t), len(omega)) == (6001, 2101)
+        out = damped_transform(t, f, omega, 0.005, sign=sign)
+        ref = self.direct_sum(t, f, omega, 0.005, sign)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(out))
+
+    def test_complex_signal_and_single_frequency(self):
+        rng = np.random.default_rng(6)
+        t = 0.3 + 0.05 * np.arange(300)
+        f = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        for omega in (np.array([0.4]), np.linspace(-1.0, 2.0, 7)):
+            out = damped_transform(t, f, omega, 0.02, sign=-1)
+            ref = self.direct_sum(t, f, omega, 0.02, -1)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_non_uniform_frequencies_rejected(self):
+        t = np.arange(100) * 0.1
+        with pytest.raises(UsageError):
+            damped_transform(t, np.ones(100), np.array([0.1, 0.2, 0.4]), 0.0)
+
+    def test_non_uniform_times_rejected(self):
+        t = np.arange(100) * 0.1
+        t[50] += 0.01
+        with pytest.raises(UsageError):
+            damped_transform(t, np.ones(100), np.array([0.1, 0.2, 0.3]), 0.0)
+
+    def test_memory_stays_linear(self):
+        import tracemalloc
+        t, f, omega = self.long_series()
+        damped_transform(t, f, omega, 0.005)  # first call loads the FFT code
+        tracemalloc.start()
+        try:
+            damped_transform(t, f, omega, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an N x 64 block of phases alone is 6 MB
+        assert peak < 2e6
