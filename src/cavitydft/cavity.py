@@ -101,15 +101,19 @@ class OrbitalSet:
 
     ``psi`` has shape ``(n_orbitals, n_sectors, *grid.shape)``; element
     ``psi[m, n]`` is the spatial field of orbital m in photon sector n.
-    ``occupations[m]`` is the electron count c_m on orbital m.
+    ``occupations[m]`` is the electron count c_m on orbital m.  ``psi`` is
+    made read-only (so is the array passed in, unless it had to be
+    converted to complex), which keeps the cached :meth:`abs2` valid.
     """
 
     psi: np.ndarray
     occupations: np.ndarray
     grid: Grid
+    _abs2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.psi = np.asarray(self.psi, dtype=complex)
+        self.psi.setflags(write=False)
         self.occupations = np.asarray(self.occupations, dtype=float)
         if self.psi.ndim != 2 + self.grid.dim:
             raise UsageError(
@@ -136,18 +140,20 @@ class OrbitalSet:
     def abs2(self) -> np.ndarray:
         """|phi_mn(r)|^2 for every orbital, sector and point, shaped like ``psi``.
 
-        Functions with an ``abs2`` argument accept this array instead of
-        forming it again from the same orbitals.
+        Formed on the first call and shared (read-only) by every later one,
+        so the norms, the density, P_n, the sector dipoles and the energy of
+        one orbital set all take the same array.
         """
-        return np.abs(self.psi) ** 2
+        if self._abs2 is None:
+            self._abs2 = np.abs(self.psi) ** 2
+            self._abs2.setflags(write=False)
+        return self._abs2
 
-    def norms(self, abs2: np.ndarray | None = None) -> np.ndarray:
+    def norms(self) -> np.ndarray:
         """Full norm of each orbital, summed over sectors and space."""
-        if abs2 is None:
-            abs2 = self.abs2()
         dv = self.grid.volume_element
         axes = tuple(range(1, self.psi.ndim))
-        return np.sqrt(np.sum(abs2, axis=axes) * dv)
+        return np.sqrt(np.sum(self.abs2(), axis=axes) * dv)
 
     def normalized(self) -> "OrbitalSet":
         norms = self.norms()
@@ -317,22 +323,20 @@ def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:
     return float(mu)
 
 
-def sector_weights(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> np.ndarray:
+def sector_weights(orbitals: OrbitalSet) -> np.ndarray:
     """Occupation-weighted norm per sector, sum_m c_m <phi_mn|phi_mn>."""
-    if abs2 is None:
-        abs2 = orbitals.abs2()
     dv = orbitals.grid.volume_element
     axes = tuple(range(2, orbitals.psi.ndim))
-    per = np.sum(abs2, axis=axes) * dv  # (m, n)
+    per = np.sum(orbitals.abs2(), axis=axes) * dv  # (m, n)
     return orbitals.occupations @ per
 
 
-def photon_occupations(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> np.ndarray:
+def photon_occupations(orbitals: OrbitalSet) -> np.ndarray:
     """Photon number probabilities P_n (non-negative, summing to one)."""
     n_el = orbitals.n_electrons
     if n_el <= 0:
         raise UsageError("photon occupations undefined for zero electrons")
-    return sector_weights(orbitals, abs2) / n_el
+    return sector_weights(orbitals) / n_el
 
 
 def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:
@@ -358,22 +362,18 @@ def sector_density(orbitals: OrbitalSet, n: int) -> np.ndarray:
     return np.sum(occ * np.abs(orbitals.psi[:, n]) ** 2, axis=0)
 
 
-def electron_density(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> Density:
+def electron_density(orbitals: OrbitalSet) -> Density:
     """Total density rho = sum_n p_n."""
-    if abs2 is None:
-        abs2 = orbitals.abs2()
     occ = orbitals.occupations.reshape((-1, 1) + (1,) * orbitals.grid.dim)
-    rho = np.sum(occ * abs2, axis=(0, 1))
+    rho = np.sum(occ * orbitals.abs2(), axis=(0, 1))
     return Density(rho, orbitals.grid, orbitals.n_electrons)
 
 
-def sector_dipoles(orbitals: OrbitalSet, abs2: np.ndarray | None = None) -> np.ndarray:
+def sector_dipoles(orbitals: OrbitalSet) -> np.ndarray:
     """Dipole vector of every sector density, shape (n_sectors, dim)."""
-    if abs2 is None:
-        abs2 = orbitals.abs2()
     grid = orbitals.grid
     occ = orbitals.occupations.reshape((-1, 1) + (1,) * grid.dim)
-    p = np.sum(occ * abs2, axis=0)  # (sectors, *grid)
+    p = np.sum(occ * orbitals.abs2(), axis=0)  # (sectors, *grid)
     axes = tuple(range(1, p.ndim))
     return np.stack([np.sum(p * grid.coordinate(a), axis=axes) for a in range(grid.dim)],
                     axis=1) * grid.volume_element

@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cavity import (OrbitalSet, apply_hamiltonian, electron_density,
-                     ladder_commutator, mean_dipole_mu, photon_occupations)
+from .cavity import (OrbitalSet, apply_hamiltonian, ladder_commutator, mean_dipole_mu,
+                     photon_occupations)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .errors import AnalysisError, CavityDftError, ConfigurationError, UsageError
 from .grid import inner_product, laplacian
-from .oracle import OracleObservables, assemble, scf_ground_state, write_golden
+from .oracle import assemble, scf_ground_state, write_golden
 from .potentials import assemble_ks
 from .propagate import propagate
 from .qedft import qedft_propagate

@@ -10,7 +10,7 @@ in the output layer behind the ``report_ev`` flag.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,9 @@ _KNOWN_KEYS = {
         "tol_energy": "energy convergence tolerance",
         "tol_density": "L1 density convergence tolerance",
         "mixing": "linear density mixing in (0, 1]",
-        "minimizer": "imaginary-time | steepest-descent | conjugate-gradient",
-        "fixed_step": "fallback/fixed descent step",
+        "minimizer": "imaginary-time | conjugate-gradient",
+        "fixed_step": "imaginary-time step when the line search finds none",
         "sector_weights": "initial Fock sector weights w_n",
-        "inner_steps": "minimizer steps per density update",
         "fd_order": "stencil points per axis (3/5/7/9)",
     },
     "prop": {
@@ -234,19 +233,18 @@ def parse_config(path) -> RunConfig:
 
     # --- scf --------------------------------------------------------------
     scf_kwargs = {}
-    for key, attr, cast in (
-            ("max_iterations", "max_iterations", int),
-            ("tol_energy", "tol_energy", float),
-            ("tol_density", "tol_density", float),
-            ("mixing", "mixing", float),
-            ("minimizer", "minimizer", str.strip),
-            ("fixed_step", "fixed_step", float),
-            ("sector_weights", "sector_weights", lambda s: tuple(_floats(s))),
-            ("inner_steps", "inner_steps", int),
-            ("fd_order", "fd_order", int)):
+    for key, cast in (
+            ("max_iterations", int),
+            ("tol_energy", float),
+            ("tol_density", float),
+            ("mixing", float),
+            ("minimizer", str.strip),
+            ("fixed_step", float),
+            ("sector_weights", lambda s: tuple(_floats(s))),
+            ("fd_order", int)):
         val = grab("scf", key, cast)
         if val is not None:
-            scf_kwargs[attr] = val
+            scf_kwargs[key] = val
     scf_cfg = None
     try:
         scf_cfg = ScfConfig(**scf_kwargs)
@@ -254,11 +252,22 @@ def parse_config(path) -> RunConfig:
         violations.append(f"[scf] {exc}")
 
     # --- prop -------------------------------------------------------------
+    def axis(key):
+        name = grab("prop", key, str.strip, "x")
+        if name not in _AXES or _AXES[name] >= dim:
+            valid = ", ".join(a for a, i in _AXES.items() if i < dim)
+            violations.append(f"[prop] {key}: {name!r} is not an axis of a {dim}D grid ({valid})")
+            return 0
+        return _AXES[name]
+
     prop_cfg = None
     if parser.has_section("prop"):
         laser = None
         amp = grab("prop", "laser_amplitude", float, None)
         if amp is not None:
+            if "laser_envelope_time" in parser["prop"] and "laser_envelope_rule" in parser["prop"]:
+                violations.append(
+                    "[prop] give either laser_envelope_time or laser_envelope_rule, not both")
             try:
                 rule = grab("prop", "laser_envelope_rule", str.strip, "printed")
                 if rule not in ("printed", "two-pi"):
@@ -268,9 +277,9 @@ def parse_config(path) -> RunConfig:
                 laser = LaserPulse(
                     amplitude=amp, carrier=carrier,
                     envelope_time=grab("prop", "laser_envelope_time", float, None),
-                    axis=_AXES[grab("prop", "laser_axis", str.strip, "x")],
+                    axis=axis("laser_axis"),
                     two_pi_envelope=(rule == "two-pi"))
-            except (ConfigurationError, KeyError) as exc:
+            except ConfigurationError as exc:
                 violations.append(f"[prop] laser: {exc}")
         try:
             prop_cfg = PropConfig(
@@ -279,7 +288,7 @@ def parse_config(path) -> RunConfig:
                 order=grab("prop", "order", int, 4),
                 stride=grab("prop", "stride", int, 1),
                 kick_strength=grab("prop", "kick_strength", float, 0.0),
-                kick_axis=_AXES.get(grab("prop", "kick_axis", str.strip, "x"), 0),
+                kick_axis=axis("kick_axis"),
                 laser=laser,
                 norm_tol_step=grab("prop", "norm_tol_step", float, 1e-10),
                 use_energy_shift=grab("prop", "energy_shift", _bool, True),

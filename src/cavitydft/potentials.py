@@ -38,6 +38,9 @@ _PZ_D = -0.0116
 
 _DENSITY_FLOOR = 1e-30
 
+# Poisson CG budget; the sine-transform preconditioner converges in ~5 iterations
+_POISSON_MAXITER = 5000
+
 
 @dataclass(frozen=True)
 class Ion:
@@ -67,13 +70,6 @@ class Density:
 
     def integral(self) -> float:
         return float(integrate(self.values, self.grid))
-
-    def normalized(self) -> "Density":
-        """Rescale so the integral equals ``n_electrons`` exactly."""
-        total = self.integral()
-        if total <= 0:
-            raise ConvergenceError("cannot normalize a non-positive density")
-        return Density(self.values * (self.n_electrons / total), self.grid, self.n_electrons)
 
 
 @dataclass
@@ -227,7 +223,7 @@ def _inverse_dirichlet_symbol(grid: Grid, order: int) -> np.ndarray:
 
 
 def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAULT_ORDER,
-                         tol: float = 1e-8, maxiter: int = 5000) -> np.ndarray:
+                         tol: float = 1e-8) -> np.ndarray:
     """Solve -lap(V) = 4 pi rho with free-space boundary values.
 
     The boundary potential outside the box comes from the monopole+dipole
@@ -261,11 +257,11 @@ def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAU
     op = LinearOperator((n, n), matvec=neg_lap, dtype=float)
     precond = LinearOperator((n, n), matvec=fast_sine_solve, dtype=float)
     b_flat = b.ravel()
-    x, info = cg(op, b_flat, rtol=tol, atol=0.0, maxiter=maxiter, M=precond)
+    x, info = cg(op, b_flat, rtol=tol, atol=0.0, maxiter=_POISSON_MAXITER, M=precond)
     if info != 0:
         residual = float(np.linalg.norm(neg_lap(x) - b_flat) / max(np.linalg.norm(b_flat), 1e-300))
         raise ConvergenceError(
-            f"Poisson CG did not reach rtol={tol} in {maxiter} iterations "
+            f"Poisson CG did not reach rtol={tol} in {_POISSON_MAXITER} iterations "
             f"(relative residual {residual:.3e})",
             diagnostics={"residual": residual},
         )
@@ -283,13 +279,12 @@ def laplacian_padded(padded: np.ndarray, grid: Grid, weights: np.ndarray, pad: i
     return out[interior]
 
 
-def hartree_potential(density: Density, *, softening: float = 1.0,
-                      order: int = gridmod.DEFAULT_ORDER, tol: float = 1e-8) -> np.ndarray:
+def hartree_potential(density: Density, *, softening: float = 1.0) -> np.ndarray:
     """Hartree potential of a density (kernel convolution in 1D, Poisson in 3D)."""
     g = density.grid
     if g.dim == 1:
         return hartree_potential_1d(density.values, g, softening)
-    return hartree_potential_3d(density.values, g, order=order, tol=tol)
+    return hartree_potential_3d(density.values, g)
 
 
 def lda_xc(density: Density) -> tuple[np.ndarray, float]:
@@ -330,8 +325,7 @@ def lda_xc(density: Density) -> tuple[np.ndarray, float]:
 
 
 def assemble_ks(density: Density, system: ElectronSystem, *,
-                v_ion: np.ndarray | None = None,
-                poisson_tol: float = 1e-8) -> KsPotential:
+                v_ion: np.ndarray | None = None) -> KsPotential:
     """Compose V_KS = V_H + V_XC + V_ion for the given density.
 
     ``v_ion`` may be passed in to avoid rebuilding the static part each
@@ -341,7 +335,7 @@ def assemble_ks(density: Density, system: ElectronSystem, *,
         v_ion = external_potential(system)
     zeros = np.zeros(system.grid.shape)
     if system.use_hartree:
-        v_h = hartree_potential(density, softening=system.ee_softening, tol=poisson_tol)
+        v_h = hartree_potential(density, softening=system.ee_softening)
         e_h = 0.5 * float(integrate(density.values * v_h, system.grid))
     else:
         v_h, e_h = zeros, 0.0

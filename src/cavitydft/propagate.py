@@ -18,14 +18,14 @@ changes from step to step.  The Kohn-Sham potential built from each
 step's density serves both the next step and the energy of that sample.
 The local potential of each step is written into the diagonal of one
 per-run copy of that matrix, so every application of H is one sparse
-product.  Each step forms |psi|^2 once; the norm guard, the density and
-every recorded column (dipoles, P_n, sector dipoles and the energy) are
-taken from it.  A constant per-orbital energy shift (a pure phase)
-conditions the expansion so that norm conservation is limited by the
-energy spread rather than the absolute energy scale.  Orbitals are never
-re-orthogonalized during propagation; what is guarded is the norm of each
-orbital (its drift per step) and the finiteness of the orbitals and of
-every sample.
+product.  Each step forms |psi|^2 once (:meth:`OrbitalSet.abs2` caches
+it); the norm guard, the density and every recorded column (dipoles, P_n,
+sector dipoles and the energy) are taken from it.  A constant per-orbital
+energy shift (a pure phase) conditions the expansion so that norm
+conservation is limited by the energy spread rather than the absolute
+energy scale.  Orbitals are never re-orthogonalized during propagation;
+what is guarded is the norm of each orbital (its drift per step) and the
+finiteness of the orbitals and of every sample.
 """
 
 from __future__ import annotations
@@ -223,20 +223,19 @@ def _drive(state: ScfState, cfg: PropConfig,
     def abort(message, orbitals, t):
         raise PropagationAborted(message, series=series(), orbitals=orbitals, time=t)
 
-    def record(t, orbitals, abs2, density, pot, norms):
+    def record(t, orbitals, density, pot, norms):
         row = {"t": t}
         for a, d in enumerate(dipole_vector(density.values, grid)):
             row[f"D{axis_name(a)}"] = d
         if fock is not None:
             row["q"] = q_expectation(orbitals, fock)
-            for n, p in enumerate(photon_occupations(orbitals, abs2)):
+            for n, p in enumerate(photon_occupations(orbitals)):
                 row[f"P{n}"] = p
-        energy = total_energy(system, orbitals, fock, potential=pot, abs2=abs2,
-                              fd_order=cfg.fd_order)
+        energy = total_energy(system, orbitals, fock, potential=pot, fd_order=cfg.fd_order)
         row.update(scheme.sample(energy.total))
         row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
         if fock is not None:
-            for n, dip in enumerate(sector_dipoles(orbitals, abs2)):
+            for n, dip in enumerate(sector_dipoles(orbitals)):
                 for a, d in enumerate(dip):
                     row[f"D{axis_name(a)}_s{n}"] = d
         if not columns:
@@ -247,8 +246,7 @@ def _drive(state: ScfState, cfg: PropConfig,
         for name, value in row.items():
             columns[name].append(value)
 
-    abs2 = orbitals.abs2()
-    density = electron_density(orbitals, abs2)
+    density = electron_density(orbitals)
     pot = assemble_ks(density, system, v_ion=v_ion)
     v_local = pot.total + scheme.photon_potential(density)
     hamiltonian = SparseHamiltonian(field_free_hamiltonian(grid, fock, cfg.fd_order),
@@ -257,9 +255,9 @@ def _drive(state: ScfState, cfg: PropConfig,
     if cfg.use_energy_shift:
         shifts = orbital_eigenvalues(orbitals, hamiltonian)
 
-    norms_ref = orbitals.norms(abs2)
+    norms_ref = orbitals.norms()
     t = 0.0
-    record(t, orbitals, abs2, density, pot, norms_ref)
+    record(t, orbitals, density, pot, norms_ref)
 
     for step in range(1, cfg.n_steps + 1):
         v_step = v_local
@@ -269,8 +267,7 @@ def _drive(state: ScfState, cfg: PropConfig,
         hamiltonian.set_potential(v_step)
         stepped = OrbitalSet(taylor_step(orbitals.psi, hamiltonian, cfg.dt, cfg.order, shifts),
                              orbitals.occupations, grid)
-        abs2 = stepped.abs2()
-        norms = stepped.norms(abs2)
+        norms = stepped.norms()
         # a non-finite orbital value makes its norm non-finite
         if not np.all(np.isfinite(norms)):
             abort(f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})",
@@ -285,11 +282,11 @@ def _drive(state: ScfState, cfg: PropConfig,
                 f"norm drift {drift:.3e} after {step} steps exceeds "
                 f"{cfg.norm_tol_step:.1e} per step; reduce dt below {cfg.dt}")
 
-        density = electron_density(orbitals, abs2)
+        density = electron_density(orbitals)
         pot = assemble_ks(density, system, v_ion=v_ion)
         v_local = pot.total + scheme.photon_potential(density)
         if step % cfg.stride == 0:
-            record(t, orbitals, abs2, density, pot, norms)
+            record(t, orbitals, density, pot, norms)
 
     return series(), orbitals
 

@@ -1,12 +1,15 @@
 """Self-consistent ground-state solver for cavity-coupled Kohn-Sham orbitals.
 
 One iteration: freeze the mean-field Hamiltonian built from the current
-density, improve every orbital with the chosen minimizer, re-orthogonalize
-sector by sector, then mix the new density into the old one.  Convergence
-requires both the energy change and the L1 density change to stay below
-tolerance for two consecutive iterations.  Density mixing is damped
-automatically when the energy history starts to oscillate, which is the
-typical failure mode at larger couplings.
+density, take one step of the chosen minimizer on every orbital
+(imaginary time with an exact line search on the Rayleigh quotient, or
+band-by-band conjugate gradients), re-orthogonalize sector by sector, then
+mix the new density into the old one.  Convergence requires both the
+energy change and the L1 density change to stay below tolerance for two
+consecutive iterations; the converged iteration's density, potential and
+energy are the returned state.  Density mixing is damped automatically
+when the energy history starts to oscillate, which is the typical failure
+mode at larger couplings.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ from .grid import laplacian
 from .potentials import (Density, ElectronSystem, KsPotential, assemble_ks,
                          external_potential)
 
-MINIMIZERS = ("imaginary-time", "steepest-descent", "conjugate-gradient")
+MINIMIZERS = ("imaginary-time", "conjugate-gradient")
 
 # deterministic fallback amplitude for linearly dependent orbital seeds
 _PERTURB_AMPLITUDE = 1e-6
+# two projection sweeps reach orthogonality to working precision ("twice is
+# enough", Parlett 1980); linearly dependent inputs are perturbed at most twice
+_GS_PASSES = 2
+_GS_RETRIES = 2
 
 
 @dataclass
@@ -40,7 +47,6 @@ class ScfConfig:
     minimizer: str = "imaginary-time"
     fixed_step: float = 0.1
     sector_weights: tuple | None = None
-    inner_steps: int = 1
     fd_order: int = gridmod.DEFAULT_ORDER
 
     def __post_init__(self):
@@ -56,8 +62,6 @@ class ScfConfig:
             if np.any(w < 0) or not np.any(w > 0):
                 raise ConfigurationError("sector weights must be non-negative, not all zero")
             self.sector_weights = tuple(float(x) for x in w)
-        if self.inner_steps < 1:
-            raise ConfigurationError("inner_steps must be >= 1")
 
 
 @dataclass
@@ -94,20 +98,6 @@ class HamiltonianContext:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return apply_hamiltonian(psi, self.v_local, self.mu, self.cavity,
                                  self.grid, order=self.order)
-
-    def spectral_bound(self) -> float:
-        """Gershgorin-style bound on |H|, used to cap fixed descent steps."""
-        weights = gridmod.d2_stencil(self.order) / self.grid.h**2
-        bound = 0.5 * float(np.sum(np.abs(weights))) * self.grid.dim
-        v = self.v_local
-        if self.cavity is not None:
-            lam_r = coupling_field(self.cavity, self.grid)
-            v = v + self.mu * lam_r
-            bound += (self.cavity.n_fock + 0.5) * self.cavity.omega
-            bound += (np.sqrt(self.cavity.omega / 2.0) * float(np.max(np.abs(lam_r)))
-                      * 2.0 * np.sqrt(self.cavity.n_fock + 1.0))
-        bound += float(np.max(np.abs(v)))
-        return bound
 
 
 @dataclass
@@ -215,8 +205,7 @@ def init_orbitals(system: ElectronSystem, cavity: CavityMode | None,
     return gram_schmidt_sectorwise(orbitals)
 
 
-def gram_schmidt_sectorwise(orbitals: OrbitalSet, *, passes: int = 2,
-                            max_retries: int = 2) -> OrbitalSet:
+def gram_schmidt_sectorwise(orbitals: OrbitalSet) -> OrbitalSet:
     """Orthonormalize a set: project per Fock sector, normalize globally.
 
     For every sector n the spatial components of orbital m are made
@@ -232,9 +221,9 @@ def gram_schmidt_sectorwise(orbitals: OrbitalSet, *, passes: int = 2,
     work = orbitals.psi.reshape(n_orb, n_sec, -1).copy()
     board = None
 
-    for attempt in range(max_retries + 1):
+    for attempt in range(_GS_RETRIES + 1):
         dependent = False
-        for _ in range(passes):
+        for _ in range(_GS_PASSES):
             for m in range(n_orb):
                 for j in range(m):
                     denom = np.einsum("sp,sp->s", work[j].conj(), work[j]).real * dv
@@ -247,7 +236,7 @@ def gram_schmidt_sectorwise(orbitals: OrbitalSet, *, passes: int = 2,
             dependent = True
         if not dependent:
             break
-        if attempt == max_retries:
+        if attempt == _GS_RETRIES:
             raise ConvergenceError(
                 "orbitals remain linearly dependent after deterministic perturbation")
         if board is None:
@@ -272,8 +261,6 @@ class _Minimizer:
     def step(self, orbitals: OrbitalSet, ctx: HamiltonianContext) -> np.ndarray:
         psi = orbitals.psi
         h_psi = ctx.apply(psi)
-        if self.kind == "steepest-descent":
-            return self._steepest(orbitals, h_psi, ctx)
         if self.kind == "imaginary-time":
             return self._imaginary_time(orbitals, h_psi, ctx)
         return self._conjugate_gradient(orbitals, h_psi, ctx)
@@ -290,14 +277,6 @@ class _Minimizer:
         hw = h2_psi.reshape(orbitals.n_orbitals, -1)
         m3 = np.einsum("mp,mp->m", w.conj(), hw).real * dv
         return m1, m2, m3
-
-    def _steepest(self, orbitals, h_psi, ctx):
-        # fixed step, capped well inside the stability bound 2/|H|
-        tau = min(self.fixed_step, 1.5 / ctx.spectral_bound())
-        m1, _, _ = self._moments(orbitals, h_psi)
-        shape = (-1,) + (1,) * (orbitals.psi.ndim - 1)
-        grad = h_psi - m1.reshape(shape) * orbitals.psi
-        return orbitals.psi - tau * grad
 
     def _imaginary_time(self, orbitals, h_psi, ctx):
         # minimize the Rayleigh quotient of (1 - tau H) phi over tau per orbital
@@ -370,7 +349,6 @@ class _Minimizer:
 def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
                  cavity: CavityMode | None, *,
                  potential: KsPotential | None = None,
-                 abs2: np.ndarray | None = None,
                  fd_order: int = gridmod.DEFAULT_ORDER) -> EnergyDecomposition:
     """Energy of an orbital set, decomposed into additive pieces.
 
@@ -381,8 +359,7 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
 
     ``potential``, when given, must be the Kohn-Sham potential assembled
     from this orbital set's density: its ``v_ion``, ``e_hartree`` and
-    ``e_xc`` are used instead of rebuilding them.  ``abs2``, when given,
-    is ``orbitals.abs2()``; the density, P_n and mu all come from it.
+    ``e_xc`` are used instead of assembling them again.
     """
     grid = system.grid
     dv = grid.volume_element
@@ -395,27 +372,16 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
                                lap.reshape(orbitals.n_orbitals, -1)).real * dv
     e_kin = float(occ @ per_orb)
 
-    if abs2 is None:
-        abs2 = orbitals.abs2()
-    rho = electron_density(orbitals, abs2)
-    if potential is not None:
-        v_ion, e_h, e_xc = potential.v_ion, potential.e_hartree, potential.e_xc
-    else:
-        v_ion = external_potential(system)
-        e_h = e_xc = 0.0
-        if system.use_hartree:
-            from .potentials import hartree_potential
-            v_h = hartree_potential(rho, softening=system.ee_softening)
-            e_h = 0.5 * float(np.sum(rho.values * v_h)) * dv
-        if system.use_xc:
-            from .potentials import lda_xc
-            _, e_xc = lda_xc(rho)
-    e_ext = float(np.sum(rho.values * v_ion)) * dv
+    rho = electron_density(orbitals)
+    if potential is None:
+        potential = assemble_ks(rho, system)
+    e_h, e_xc = potential.e_hartree, potential.e_xc
+    e_ext = float(np.sum(rho.values * potential.v_ion)) * dv
 
     if cavity is None:
         return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, 0.0, 0.0, 0.0)
 
-    pn = photon_occupations(orbitals, abs2)
+    pn = photon_occupations(orbitals)
     e_photon = cavity.omega * float(np.sum((np.arange(len(pn)) + 0.5) * pn))
 
     mu = mean_dipole_mu(rho, cavity)
@@ -503,21 +469,17 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         pot = assemble_ks(density_in, system, v_ion=v_ion)
         mu = mean_dipole_mu(density_in, cavity)
         ctx = HamiltonianContext(grid, cavity, pot.total, mu, cfg.fd_order)
+        orbitals = gram_schmidt_sectorwise(
+            OrbitalSet(minimizer.step(orbitals, ctx), orbitals.occupations, grid))
 
-        for _ in range(cfg.inner_steps):
-            psi_new = minimizer.step(orbitals, ctx)
-            orbitals = gram_schmidt_sectorwise(
-                OrbitalSet(psi_new, orbitals.occupations, grid))
-
-        abs2 = orbitals.abs2()
-        density_out = electron_density(orbitals, abs2)
+        density_out = electron_density(orbitals)
         rho_out = density_out.values
-        energy = total_energy(system, orbitals, cavity,
-                              potential=assemble_ks(density_out, system, v_ion=v_ion),
-                              abs2=abs2, fd_order=cfg.fd_order)
+        pot_out = assemble_ks(density_out, system, v_ion=v_ion)
+        energy = total_energy(system, orbitals, cavity, potential=pot_out,
+                              fd_order=cfg.fd_order)
         d_e = np.inf if energy_prev is None else energy.total - energy_prev
         d_rho = float(np.sum(np.abs(rho_out - rho_in))) * grid.volume_element
-        pn = photon_occupations(orbitals, abs2) if cavity is not None else np.array([1.0])
+        pn = photon_occupations(orbitals) if cavity is not None else np.array([1.0])
 
         history.append({"iteration": iteration, "energy": energy.total,
                         "delta_energy": d_e, "delta_density": d_rho,
@@ -580,12 +542,6 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
             f"{halvings} mixing halvings)",
             history=history, diagnostics=diag)
 
-    rho_final = electron_density(orbitals)
-    pot_final = assemble_ks(rho_final, system, v_ion=v_ion)
-    mu_final = mean_dipole_mu(rho_final, cavity)
-    energy_final = total_energy(system, orbitals, cavity, potential=pot_final,
-                                fd_order=cfg.fd_order)
-    return ScfState(orbitals=orbitals, density=rho_final, potential=pot_final,
-                    mu=mu_final, cavity=cavity, system=system,
-                    energy=energy_final, iterations=iteration,
-                    converged=True, history=history)
+    return ScfState(orbitals=orbitals, density=density_out, potential=pot_out,
+                    mu=mean_dipole_mu(density_out, cavity), cavity=cavity, system=system,
+                    energy=energy, iterations=iteration, converged=True, history=history)

@@ -25,7 +25,7 @@ from .timeseries import TimeSeries, axis_name
 
 SPEED_OF_LIGHT = 137.036
 
-# damping target at the end of the run: exp(-eta^2 T^2) = _DAMPFING_FLOOR
+# damping target at the end of the run: exp(-eta^2 T^2) = _DAMPING_FLOOR
 _DAMPING_FLOOR = 1e-4
 
 

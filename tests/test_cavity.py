@@ -50,6 +50,22 @@ class TestCavityMode:
         assert cav.lam[0] == pytest.approx(np.sqrt(4 * np.pi / 400.0))
 
 
+class TestOrbitalSet:
+    def test_psi_is_read_only(self, grid):
+        orbs = OrbitalSet(normalized_orbital(grid, 2, [1.0, 0.5])[None], [1.0], grid)
+        with pytest.raises(ValueError):
+            orbs.psi[0, 0, 0] = 1.0
+
+    def test_abs2_formed_once(self, grid):
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal((2, 2) + grid.shape) + 1j * rng.standard_normal((2, 2) + grid.shape)
+        orbs = OrbitalSet(psi, [2.0, 1.0], grid)
+        first = orbs.abs2()
+        assert orbs.abs2() is first
+        assert np.array_equal(first, np.abs(psi) ** 2)
+        assert not first.flags.writeable
+
+
 class TestLadderAlgebra:
     def test_annihilation_matrix(self):
         a = annihilation_matrix(2)
@@ -303,7 +319,6 @@ class TestObservables:
         ref = np.array([dipole_vector(sector_density(orbs, n), g) for n in range(3)])
         d = sector_dipoles(orbs)
         assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(sector_dipoles(orbs, orbs.abs2()), d)
 
     def test_coupling_field_cache_is_read_only(self):
         cav = CavityMode(omega=0.1, coupling=(0.1, 0.1, 0.0), n_fock=1)

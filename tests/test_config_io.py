@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,9 +10,12 @@ import pytest
 import cavitydft
 from cavitydft.cavity import CavityMode, OrbitalSet
 from cavitydft.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from cavitydft.config import parse_config
+from cavitydft.cli import main
+from cavitydft.config import _KNOWN_KEYS, parse_config
 from cavitydft.errors import ConfigurationError, UsageError
 from cavitydft.grid import Grid
+from cavitydft.scf import ScfConfig
+from cavitydft.spectra import SpectrumConfig
 from cavitydft.timeseries import TimeSeries
 
 MINIMAL = """
@@ -129,6 +133,34 @@ n_fock = 1
 """
         with pytest.raises(ConfigurationError):
             parse_config(write(tmp_path, text))
+
+    def test_inner_steps_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(write(tmp_path, MINIMAL + "\n[scf]\ninner_steps = 1\n"))
+        assert any("inner_steps" in v for v in err.value.violations)
+
+    @pytest.mark.parametrize("section, config_class", [("scf", ScfConfig),
+                                                       ("spectra", SpectrumConfig)])
+    def test_keys_are_the_config_fields(self, section, config_class):
+        fields = {f.name for f in dataclasses.fields(config_class)}
+        assert set(_KNOWN_KEYS[section]) == fields
+
+    @pytest.mark.parametrize("lines, named", [
+        ("kick_strength = 0.001\nkick_axis = q", "kick_axis"),
+        ("kick_strength = 0.001\nkick_axis = z", "kick_axis"),
+        ("laser_amplitude = 0.005\nlaser_carrier = 0.057\nlaser_axis = z", "laser_axis"),
+        ("laser_amplitude = 0.005\nlaser_carrier = 0.057\nlaser_envelope_time = 40.0\n"
+         "laser_envelope_rule = two-pi", "laser_envelope_rule"),
+    ], ids=["unknown-kick-axis", "kick-axis-off-grid", "laser-axis-off-grid",
+            "envelope-time-and-rule"])
+    def test_bad_prop_settings_reported(self, tmp_path, capsys, lines, named):
+        text = MINIMAL.replace("points = 61", "points = 41") + (
+            "\n[prop]\ndt = 0.05\nn_steps = 10\n" + lines + "\n")
+        code = main(["propagate", "--config", str(write(tmp_path, text)),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ERROR ConfigurationError" in err and "[prop]" in err and named in err
 
     def test_ion_line_errors_located(self, tmp_path):
         bad = MINIMAL.replace("1.0  0.0  1.0", "1.0  0.0")

@@ -305,10 +305,6 @@ class TestAssembleKs:
         x = line.coordinate(0)
         assert np.allclose(pot.total, 0.125 * x**2)
 
-    def test_density_normalization(self, line):
-        rho = Density(normalized_gaussian(line) * 0.7, line, 1.0)
-        assert rho.normalized().integral() == pytest.approx(1.0, abs=1e-12)
-
     def test_harmonic_extra_potential(self, line):
         sys_ = ElectronSystem(grid=line, ions=[], occupations=[1.0],
                               harmonic_omega=0.3)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cavitydft.cavity import CavityMode, OrbitalSet, photon_occupations, q_expectation
+from cavitydft.cavity import (CavityMode, OrbitalSet, electron_density, mean_dipole_mu,
+                              photon_occupations, q_expectation)
 from cavitydft.errors import ConfigurationError, ConvergenceError
 from cavitydft.grid import Grid, dipole_integral
-from cavitydft.potentials import ElectronSystem, Ion
+from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
 from cavitydft.scf import (ScfConfig, default_sector_weights, gram_schmidt_sectorwise,
                            init_orbitals, scf_solve, total_energy)
 
@@ -32,6 +33,10 @@ class TestScfConfig:
     def test_bad_minimizer(self):
         with pytest.raises(ConfigurationError):
             ScfConfig(minimizer="newton")
+
+    def test_steepest_descent_removed(self):
+        with pytest.raises(ConfigurationError):
+            ScfConfig(minimizer="steepest-descent")
 
     def test_bad_weights(self):
         with pytest.raises(ConfigurationError):
@@ -259,7 +264,7 @@ class TestScfSolve:
         head = lines[0].split("\t")
         assert head[0] == "1" and len(head) == 4 + 2  # iter, E, dE, dRho, P0, P1
 
-    @pytest.mark.parametrize("minimizer", ["steepest-descent", "conjugate-gradient"])
+    @pytest.mark.parametrize("minimizer", ["conjugate-gradient"])
     def test_other_minimizers_reach_same_ground_state(self, minimizer):
         g = Grid((81,), 0.3)
         sys_ = ElectronSystem(grid=g, ions=[], occupations=[1.0],
@@ -284,6 +289,21 @@ class TestTotalEnergy:
                             initial_orbitals=None)
         assert coupled.energy.total == pytest.approx(bare.energy.total + 0.04,
                                                      abs=1e-7)
+
+    @pytest.mark.parametrize("shape, h", [((161,), 0.45), ((13, 11, 9), 0.5)], ids=["1d", "3d"])
+    def test_without_potential_assembles_it(self, shape, h):
+        g = Grid(shape, h)
+        ions = [Ion(1.0, (x,) + (0.0,) * (g.dim - 1), 1.0) for x in (-1.0, 1.0)]
+        system = ElectronSystem(grid=g, ions=ions, occupations=[2.0])
+        cav = CavityMode(omega=0.1, coupling=(0.05,) + (0.0,) * (g.dim - 1), n_fock=1)
+        seed = init_orbitals(system, cav, ScfConfig())
+        rng = np.random.default_rng(4)
+        orbs = gram_schmidt_sectorwise(OrbitalSet(
+            seed.psi + 0.05 * rng.standard_normal(seed.psi.shape), [2.0], g))
+        pot = assemble_ks(electron_density(orbs), system)
+        plain = total_energy(system, orbs, cav).as_dict()
+        given = total_energy(system, orbs, cav, potential=pot).as_dict()
+        assert {k: v.hex() for k, v in plain.items()} == {k: v.hex() for k, v in given.items()}
 
     def test_parts_sum_exactly(self, soft_atom):
         cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
@@ -321,3 +341,21 @@ class TestBitIdentity:
                                                  max_iterations=2000))
         assert state.iterations == 1019
         assert float(state.energy.total).hex() == "-0x1.7f039abb5ec44p-1"
+
+    def test_returned_state_is_its_orbitals_state(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4),
+                                ions=[Ion(1.0, (-1.2,), 1.0), Ion(1.0, (1.2,), 1.0)],
+                                occupations=[2.0])
+        cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-8, tol_density=1e-6,
+                                                 max_iterations=2000, fd_order=5))
+        # a new OrbitalSet, so |psi|^2 is formed again rather than taken from the cache
+        rho = electron_density(OrbitalSet(state.orbitals.psi.copy(), [2.0], system.grid))
+        pot = assemble_ks(rho, system)
+        energy = total_energy(system, state.orbitals, cav, potential=pot, fd_order=5)
+        assert np.array_equal(state.density.values, rho.values)
+        for piece in ("v_hartree", "v_xc", "v_ion", "total"):
+            assert np.array_equal(getattr(state.potential, piece), getattr(pot, piece))
+        assert state.mu == mean_dipole_mu(rho, cav)
+        assert {k: v.hex() for k, v in state.energy.as_dict().items()} == {
+            k: v.hex() for k, v in energy.as_dict().items()}
