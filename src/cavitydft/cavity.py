@@ -170,7 +170,6 @@ class OrbitalSet:
 
 def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
                       cavity: CavityMode | None, grid: Grid, *,
-                      order: int = gridmod.DEFAULT_ORDER,
                       efield: np.ndarray | None = None) -> np.ndarray:
     """Act with the coupled one-body Hamiltonian on orbital sector stacks.
 
@@ -195,7 +194,7 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
         if np.any(ef != 0.0):
             v_eff = v_eff + sum(e * grid.coordinate(a) for a, e in enumerate(ef) if e != 0.0)
 
-    out = -0.5 * laplacian(psi, grid, order)
+    out = -0.5 * laplacian(psi, grid)
 
     if cavity is None:
         return out + v_eff * psi
@@ -233,8 +232,7 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
     return out
 
 
-def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None,
-                           order: int = gridmod.DEFAULT_ORDER) -> sparse.csr_array:
+def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None) -> sparse.csr_array:
     """The static part of the coupled one-body Hamiltonian as one sparse matrix.
 
     It acts on one orbital flattened in (sector, grid...) C order and holds
@@ -248,7 +246,7 @@ def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None,
     Real values and 32-bit indices take about 12 bytes per nonzero: ~1.8 MB
     at 15^3 and ~40 MB at 41^3 with the 9-point stencil and two sectors.
     """
-    weights = -0.5 * gridmod.d2_stencil(order) / grid.h**2
+    weights = -0.5 * gridmod.d2_stencil(grid.order) / grid.h**2
     half = len(weights) // 2
     kinetic = sparse.csr_array((grid.n_points, grid.n_points))
     for axis, n in enumerate(grid.shape):

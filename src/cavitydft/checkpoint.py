@@ -1,8 +1,9 @@
 """Versioned binary checkpoints for orbital sets.
 
 Layout (little-endian throughout): an 8-byte magic string, a version
-integer, grid and cavity metadata, then the raw orbital, density, and
-occupation arrays in C order.  Round trips are bit-exact.
+integer, grid metadata (stencil order included) and cavity metadata, then
+the raw orbital, density, and occupation arrays in C order.  Round trips
+are bit-exact.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .errors import UsageError
 from .grid import Grid
 
 MAGIC = b"CVDFTCHK"
-VERSION = 1
+VERSION = 2
 
 _HEAD = struct.Struct("<8sI")
-_GEOM = struct.Struct("<Id3q")          # dim, h, shape (padded to 3)
+_GEOM = struct.Struct("<Id3qI")         # dim, h, shape (padded to 3), stencil order
 _CAV = struct.Struct("<Bd3dI")          # has_cavity, omega, lambda (padded), n_fock
 _STATE = struct.Struct("<IIdQd")        # n_orbitals, n_sectors, time, iteration, mu
 
@@ -43,7 +44,7 @@ def save_checkpoint(path, chk: Checkpoint) -> None:
     lam3 = ([*chk.cavity.lam] if chk.cavity is not None else []) + [0.0] * 3
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(MAGIC, VERSION))
-        fh.write(_GEOM.pack(grid.dim, grid.h, *shape3[:3]))
+        fh.write(_GEOM.pack(grid.dim, grid.h, *shape3[:3], grid.order))
         fh.write(_CAV.pack(
             1 if chk.cavity is not None else 0,
             chk.cavity.omega if chk.cavity is not None else 0.0,
@@ -62,8 +63,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise UsageError(f"{path} is not a cavitydft checkpoint")
         if version != VERSION:
             raise UsageError(f"unsupported checkpoint version {version}")
-        dim, h, *shape3 = _GEOM.unpack(fh.read(_GEOM.size))
-        grid = Grid(tuple(shape3[:dim]), h)
+        dim, h, *shape3, order = _GEOM.unpack(fh.read(_GEOM.size))
+        grid = Grid(tuple(shape3[:dim]), h, order)
         has_cav, omega, lx, ly, lz, n_fock = _CAV.unpack(fh.read(_CAV.size))
         cavity = None
         if has_cav:

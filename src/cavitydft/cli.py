@@ -113,7 +113,8 @@ def _load_state(args, cfg: RunConfig, out: Path):
             f"no scf checkpoint at {chk_path}; run the scf subcommand first")
     chk = load_checkpoint(chk_path)
     if chk.orbitals.grid != cfg.system.grid:
-        raise UsageError("checkpoint grid does not match the configuration")
+        raise UsageError(f"checkpoint grid {chk.orbitals.grid} does not match "
+                         f"the configuration's {cfg.system.grid}")
     return chk
 
 

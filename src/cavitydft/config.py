@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityMode
-from .errors import ConfigurationError
-from .grid import Grid
+from .errors import ConfigurationError, UsageError
+from .grid import DEFAULT_ORDER, Grid
 from .potentials import ElectronSystem, Ion
 from .propagate import LaserPulse, PropConfig
 from .scf import ScfConfig
 from .spectra import SpectrumConfig
-
-_AXES = {"x": 0, "y": 1, "z": 2}
+from .timeseries import axis_index
 
 # every accepted key, with a short meaning used in error messages
 _KNOWN_KEYS = {
@@ -30,6 +29,7 @@ _KNOWN_KEYS = {
         "dim": "grid dimensionality (1 or 3)",
         "points": "grid points per axis",
         "spacing": "grid spacing h (bohr)",
+        "fd_order": "finite-difference stencil points per axis (3/5/7/9)",
         "occupations": "electrons per orbital c_m",
         "ions": "one 'Z position... softening' line per ion",
         "hartree": "include the Hartree potential (yes/no)",
@@ -52,7 +52,6 @@ _KNOWN_KEYS = {
         "minimizer": "imaginary-time | conjugate-gradient",
         "fixed_step": "imaginary-time step when the line search finds none",
         "sector_weights": "initial Fock sector weights w_n",
-        "fd_order": "stencil points per axis (3/5/7/9)",
     },
     "prop": {
         "dt": "time step",
@@ -67,7 +66,6 @@ _KNOWN_KEYS = {
         "laser_envelope_rule": "printed (2/w_L) | two-pi (2 pi / w_L)",
         "laser_axis": "laser polarization axis (x/y/z)",
         "norm_tol_step": "allowed norm drift per step",
-        "energy_shift": "condition the propagator with per-orbital shifts (yes/no)",
     },
     "spectra": {
         "eta": "Gaussian damping rate (empty = automatic)",
@@ -160,6 +158,7 @@ def parse_config(path) -> RunConfig:
     dim = grab("system", "dim", int, 1)
     points = grab("system", "points", lambda s: [int(t) for t in s.split()], [])
     spacing = grab("system", "spacing", float, 0.0)
+    order = grab("system", "fd_order", int, DEFAULT_ORDER)
     occupations = grab("system", "occupations", _floats, [1.0])
     grid = None
     if spacing is not None and spacing <= 0:
@@ -173,7 +172,7 @@ def parse_config(path) -> RunConfig:
             violations.append(f"[system] points needs 1 or {dim} values")
         else:
             try:
-                grid = Grid(tuple(points), spacing)
+                grid = Grid(tuple(points), spacing, order)
             except ConfigurationError as exc:
                 violations.append(f"[system] {exc}")
 
@@ -240,8 +239,7 @@ def parse_config(path) -> RunConfig:
             ("mixing", float),
             ("minimizer", str.strip),
             ("fixed_step", float),
-            ("sector_weights", lambda s: tuple(_floats(s))),
-            ("fd_order", int)):
+            ("sector_weights", lambda s: tuple(_floats(s)))):
         val = grab("scf", key, cast)
         if val is not None:
             scf_kwargs[key] = val
@@ -254,17 +252,25 @@ def parse_config(path) -> RunConfig:
     # --- prop -------------------------------------------------------------
     def axis(key):
         name = grab("prop", key, str.strip, "x")
-        if name not in _AXES or _AXES[name] >= dim:
-            valid = ", ".join(a for a, i in _AXES.items() if i < dim)
-            violations.append(f"[prop] {key}: {name!r} is not an axis of a {dim}D grid ({valid})")
+        try:
+            index = axis_index(name)
+        except UsageError as exc:
+            violations.append(f"[prop] {key}: {exc}")
             return 0
-        return _AXES[name]
+        if index >= dim:
+            violations.append(f"[prop] {key}: {name!r} is not an axis of a {dim}D grid")
+            return 0
+        return index
 
     prop_cfg = None
     if parser.has_section("prop"):
         laser = None
         amp = grab("prop", "laser_amplitude", float, None)
-        if amp is not None:
+        if amp is None:
+            violations.extend(
+                f"[prop] {key} needs laser_amplitude" for key in parser["prop"]
+                if key.startswith("laser_") and key != "laser_amplitude")
+        else:
             if "laser_envelope_time" in parser["prop"] and "laser_envelope_rule" in parser["prop"]:
                 violations.append(
                     "[prop] give either laser_envelope_time or laser_envelope_rule, not both")
@@ -291,8 +297,6 @@ def parse_config(path) -> RunConfig:
                 kick_axis=axis("kick_axis"),
                 laser=laser,
                 norm_tol_step=grab("prop", "norm_tol_step", float, 1e-10),
-                use_energy_shift=grab("prop", "energy_shift", _bool, True),
-                fd_order=scf_kwargs.get("fd_order", 9),
             )
         except ConfigurationError as exc:
             violations.append(f"[prop] {exc}")

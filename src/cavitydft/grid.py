@@ -1,10 +1,11 @@
 """Uniform real-space meshes and the finite-difference machinery on them.
 
 Fields are plain numpy arrays shaped like ``grid.shape`` (complex or real);
-the :class:`Grid` object carries geometry and the quadrature weight.  All
-quantities are in atomic units.  Operators use central differences with
-hard-wall (zero outside the box) boundaries and a fixed axis-major
-summation order, so every operation here is deterministic.
+the :class:`Grid` object carries geometry, the quadrature weight and the
+stencil order of the discretisation, which every operator built on the
+grid reads.  All quantities are in atomic units.  Operators use central
+differences with hard-wall (zero outside the box) boundaries and a fixed
+axis-major summation order, so every operation here is deterministic.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ DEFAULT_ORDER = 9
 
 
 def d2_stencil(order: int) -> np.ndarray:
-    """Full symmetric second-derivative stencil for ``order`` points per axis."""
-    if order not in _D2_HALF_STENCILS:
-        raise ConfigurationError(
-            f"unsupported stencil order {order}; choose one of {SUPPORTED_ORDERS}"
-        )
+    """Full symmetric second-derivative stencil for ``order`` points per axis.
+
+    ``order`` is one of ``SUPPORTED_ORDERS``, which :class:`Grid` checks.
+    """
     half = _D2_HALF_STENCILS[order]
     return np.array(list(reversed(half[1:])) + list(half), dtype=float)
 
@@ -50,10 +50,15 @@ class Grid:
         Points per axis, ``(N_x,)`` or ``(N_x, N_y, N_z)``.
     h : float
         Grid spacing in bohr, identical along every axis.
+    order : int
+        Points per axis of the central second-derivative stencil (3, 5, 7
+        or 9).  The Laplacian, the kinetic energy, the propagator, the 3D
+        Poisson solve and the oracle all use this one stencil.
     """
 
     shape: tuple
     h: float
+    order: int = DEFAULT_ORDER
 
     def __post_init__(self):
         shape = tuple(int(n) for n in np.atleast_1d(self.shape))
@@ -64,6 +69,9 @@ class Grid:
             raise ConfigurationError(f"every axis needs >= 5 points, got {shape}")
         if not self.h > 0:
             raise ConfigurationError(f"grid spacing must be positive, got {self.h}")
+        if self.order not in _D2_HALF_STENCILS:
+            raise ConfigurationError(
+                f"unsupported stencil order {self.order}; choose one of {SUPPORTED_ORDERS}")
 
     @property
     def dim(self) -> int:
@@ -103,27 +111,22 @@ class Grid:
 
 
 @lru_cache(maxsize=32)
-def _laplacian_weights(grid: Grid, order: int) -> np.ndarray:
+def _laplacian_weights(grid: Grid) -> np.ndarray:
     """The stencil of :func:`laplacian` divided by h^2; shared, so read-only."""
-    weights = d2_stencil(order) / grid.h**2
-    half = (len(weights) - 1) // 2
-    if any(n <= half for n in grid.shape):
-        raise ConfigurationError(
-            f"grid shape {grid.shape} too small for {order}-point stencil"
-        )
+    weights = d2_stencil(grid.order) / grid.h**2
     weights.setflags(write=False)
     return weights
 
 
-def laplacian(f: np.ndarray, grid: Grid, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Apply the finite-difference Laplacian to ``f`` (hard-wall boundaries).
+def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Apply the ``grid.order``-point finite-difference Laplacian to ``f`` (hard walls).
 
     ``f`` may carry leading batch axes (orbitals, Fock sectors); the stencil
     acts on the trailing ``grid.dim`` axes only.  Values outside the box are
     taken to be zero, which keeps the discrete operator symmetric.
     """
     grid.check_field(f)
-    weights = _laplacian_weights(grid, order)
+    weights = _laplacian_weights(grid)
     f = np.asarray(f)
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     if np.iscomplexobj(f):

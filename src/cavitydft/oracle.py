@@ -3,9 +3,11 @@
 Everything here assembles the coupled Hamiltonian as an explicit sparse
 matrix on the flattened (sector, space) index and solves it with dense or
 iterative eigensolvers, independently of the stencil-application code
-paths.  It provides ground-truth energies, occupations, and propagated
-observables for the test suite, plus the closed-form normal modes of the
-harmonic-atom-in-cavity model.
+paths.  The kinetic matrix is built here from the ``grid.order``-point
+stencil, so the oracle discretizes exactly the problem the main code
+solves on that grid.  It provides ground-truth energies, occupations, and
+propagated observables for the test suite, plus the closed-form normal
+modes of the harmonic-atom-in-cavity model.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import eigsh
 
-from . import grid as gridmod
 from .cavity import CavityMode
 from .errors import ConfigurationError, ConvergenceError, UsageError
 from .grid import Grid, d2_stencil
@@ -28,11 +29,11 @@ DIMENSION_CAP = 20_000
 FLAVORS = ("bare", "mean-field-mu", "quadratic-dsi")
 
 
-def kinetic_matrix(grid: Grid, order: int = gridmod.DEFAULT_ORDER) -> sp.csr_matrix:
+def kinetic_matrix(grid: Grid) -> sp.csr_matrix:
     """-1/2 d^2/dx^2 as a banded matrix with hard-wall truncation."""
     if grid.dim != 1:
         raise UsageError("the oracle handles 1D grids only")
-    weights = d2_stencil(order) / grid.h**2
+    weights = d2_stencil(grid.order) / grid.h**2
     half = (len(weights) - 1) // 2
     n = grid.shape[0]
     diags = [np.full(n - abs(k), -0.5 * weights[half + k]) for k in range(-half, half + 1)]
@@ -48,8 +49,7 @@ def _coupling_lambda_x(system: ElectronSystem, cavity: CavityMode) -> np.ndarray
 
 def assemble(system: ElectronSystem, cavity: CavityMode, *,
              flavor: str = "mean-field-mu", mu: float = 0.0,
-             density: Density | None = None,
-             order: int = gridmod.DEFAULT_ORDER) -> sp.csr_matrix:
+             density: Density | None = None) -> sp.csr_matrix:
     """Explicit matrix of the coupled Hamiltonian on the flattened basis.
 
     Index ordering is sector-major: component (n, i) sits at n * N_x + i,
@@ -67,7 +67,7 @@ def assemble(system: ElectronSystem, cavity: CavityMode, *,
         raise ConfigurationError(
             f"oracle dimension {n_x * n_sec} exceeds the cap {DIMENSION_CAP}")
 
-    t_mat = kinetic_matrix(grid, order)
+    t_mat = kinetic_matrix(grid)
     v = external_potential(system).copy()
     if density is not None:
         if system.use_hartree:
@@ -131,7 +131,6 @@ class OracleGroundState:
 
 def scf_ground_state(system: ElectronSystem, cavity: CavityMode, *,
                      flavor: str = "mean-field-mu",
-                     order: int = gridmod.DEFAULT_ORDER,
                      tol: float = 1e-12, mixing: float = 0.5,
                      max_iterations: int = 400) -> OracleGroundState:
     """Self-consistent lowest state with one occupied orbital.
@@ -154,8 +153,7 @@ def scf_ground_state(system: ElectronSystem, cavity: CavityMode, *,
     psi = None
     for iteration in range(1, max_iterations + 1):
         h = assemble(system, cavity, flavor=flavor, mu=mu,
-                     density=density if (system.use_hartree or system.use_xc) else None,
-                     order=order)
+                     density=density if (system.use_hartree or system.use_xc) else None)
         eig, vec = ground_state(h)
         psi = vec.reshape(n_sec, -1) / np.sqrt(grid.h)  # normalize sum |psi|^2 h = 1
         rho_new = c * np.sum(np.abs(psi) ** 2, axis=0)
@@ -163,7 +161,7 @@ def scf_ground_state(system: ElectronSystem, cavity: CavityMode, *,
         density = Density(rho, grid, c)
         lam_x = _coupling_lambda_x(system, cavity)
         mu_new = float(np.sum(lam_x * rho) * grid.h) if flavor == "mean-field-mu" else 0.0
-        energy = _total_energy(system, cavity, psi, c, density, mu_new, order, flavor)
+        energy = _total_energy(system, cavity, psi, c, density, mu_new, flavor)
         if e_prev is not None and abs(energy - e_prev) < tol:
             pn = np.sum(np.abs(psi) ** 2, axis=1) * grid.h
             return OracleGroundState(energy=energy, eigenvalue=eig,
@@ -174,11 +172,11 @@ def scf_ground_state(system: ElectronSystem, cavity: CavityMode, *,
     raise ConvergenceError(f"oracle SCF did not converge in {max_iterations} iterations")
 
 
-def _total_energy(system, cavity, psi, c, density, mu, order, flavor) -> float:
+def _total_energy(system, cavity, psi, c, density, mu, flavor) -> float:
     """Energy from explicit operator quadratic forms (photon counted once)."""
     grid = system.grid
     h = grid.h
-    t_mat = kinetic_matrix(grid, order)
+    t_mat = kinetic_matrix(grid)
     v_ext = external_potential(system)
     lam_x = _coupling_lambda_x(system, cavity)
 

@@ -172,12 +172,13 @@ def hartree_potential_1d(rho: np.ndarray, grid: Grid, softening: float) -> np.nd
 
 
 @lru_cache(maxsize=4)
-def _padded_geometry(grid: Grid, pad: int) -> tuple:
-    """Coordinates (open mesh), r and r^3 on the grid grown by ``pad`` points per side.
+def _padded_geometry(grid: Grid) -> tuple:
+    """Coordinates (open mesh), r and r^3 on the grid padded by the stencil half-width.
 
     r is clamped to h/2 so that the interior, which the boundary field
     overwrites, never divides by zero.  The arrays are shared: read-only.
     """
+    pad = grid.order // 2
     padded_axes = [
         (np.arange(-pad, n + pad) - (n - 1) / 2.0) * grid.h for n in grid.shape
     ]
@@ -190,20 +191,21 @@ def _padded_geometry(grid: Grid, pad: int) -> tuple:
     return tuple(coords), r, r3
 
 
-def _multipole_boundary(rho: np.ndarray, grid: Grid, pad: int) -> np.ndarray:
+def _multipole_boundary(rho: np.ndarray, grid: Grid) -> np.ndarray:
     """Padded field holding monopole+dipole potential values in the pad ring."""
     charge = float(integrate(rho, grid))
     dip = dipole_vector(rho, grid)
-    coords, r, r3 = _padded_geometry(grid, pad)
+    coords, r, r3 = _padded_geometry(grid)
     vb = charge / r + sum(d * c for d, c in zip(dip, coords)) / r3
+    pad = grid.order // 2
     interior = tuple(slice(pad, pad + n) for n in grid.shape)
     vb[interior] = 0.0
     return vb
 
 
 @lru_cache(maxsize=16)
-def _inverse_dirichlet_symbol(grid: Grid, order: int) -> np.ndarray:
-    """Inverse of the DST-I symbol of -lap (``order``-point stencil, zero walls).
+def _inverse_dirichlet_symbol(grid: Grid) -> np.ndarray:
+    """Inverse of the DST-I symbol of -lap (``grid.order``-point stencil, zero walls).
 
     Along an axis of n points the sine mode k = 1..n has the -lap symbol
     -(w0 + 2 sum_j wj cos(j pi k / (n + 1))) / h^2; the 3D symbol is the sum
@@ -211,7 +213,7 @@ def _inverse_dirichlet_symbol(grid: Grid, order: int) -> np.ndarray:
     wider stencils differ from it only near the walls, so the inverse serves
     as a preconditioner rather than as the solver.
     """
-    half = gridmod.d2_stencil(order)[(order - 1) // 2:]
+    half = gridmod.d2_stencil(grid.order)[grid.order // 2:]
     j = np.arange(1, len(half))
     axis_symbols = []
     for n in grid.shape:
@@ -222,8 +224,7 @@ def _inverse_dirichlet_symbol(grid: Grid, order: int) -> np.ndarray:
     return inverse
 
 
-def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAULT_ORDER,
-                         tol: float = 1e-8) -> np.ndarray:
+def hartree_potential_3d(rho: np.ndarray, grid: Grid, tol: float = 1e-8) -> np.ndarray:
     """Solve -lap(V) = 4 pi rho with free-space boundary values.
 
     The boundary potential outside the box comes from the monopole+dipole
@@ -235,19 +236,15 @@ def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAU
     """
     rho = np.asarray(rho, dtype=float)
     grid.check_field(rho)
-    weights = gridmod.d2_stencil(order) / grid.h**2
-    pad = (len(weights) - 1) // 2
-
-    vb = _multipole_boundary(rho, grid, pad)
-    lap_b = laplacian_padded(vb, grid, weights, pad)
-    b = 4.0 * np.pi * rho + lap_b
+    vb = _multipole_boundary(rho, grid)
+    b = 4.0 * np.pi * rho + laplacian_padded(vb, grid)
 
     shape = grid.shape
 
     def neg_lap(v):
-        return -laplacian(v.reshape(shape), grid, order).ravel()
+        return -laplacian(v.reshape(shape), grid).ravel()
 
-    inverse_symbol = _inverse_dirichlet_symbol(grid, order)
+    inverse_symbol = _inverse_dirichlet_symbol(grid)
 
     def fast_sine_solve(r):
         r_hat = fft.dstn(r.reshape(shape), type=1, norm="ortho")
@@ -268,10 +265,12 @@ def hartree_potential_3d(rho: np.ndarray, grid: Grid, order: int = gridmod.DEFAU
     return x.reshape(shape)
 
 
-def laplacian_padded(padded: np.ndarray, grid: Grid, weights: np.ndarray, pad: int) -> np.ndarray:
-    """Laplacian of a padded field, evaluated on the interior points."""
+def laplacian_padded(padded: np.ndarray, grid: Grid) -> np.ndarray:
+    """Laplacian of a field padded by the stencil half-width, on the interior points."""
     from scipy import ndimage
 
+    weights = gridmod.d2_stencil(grid.order) / grid.h**2
+    pad = grid.order // 2
     out = np.zeros_like(padded)
     for axis in range(grid.dim):
         out += ndimage.correlate1d(padded, weights, axis=axis, mode="constant")

@@ -21,9 +21,12 @@ per-run copy of that matrix, so every application of H is one sparse
 product.  Each step forms |psi|^2 once (:meth:`OrbitalSet.abs2` caches
 it); the norm guard, the density and every recorded column (dipoles, P_n,
 sector dipoles and the energy) are taken from it.  A constant per-orbital
-energy shift (a pure phase) conditions the expansion so that norm
+energy shift (a pure phase), each orbital's expectation value of H at
+t = 0 without the laser term, conditions the expansion so that norm
 conservation is limited by the energy spread rather than the absolute
-energy scale.  Orbitals are never re-orthogonalized during propagation;
+energy scale.  The kinetic stencil is the ground state's ``grid.order``,
+the one its SCF used, so a converged state is stationary under the
+propagator.  Orbitals are never re-orthogonalized during propagation;
 what is guarded is the norm of each orbital (its drift per step) and the
 finiteness of the orbitals and of every sample.
 """
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid as gridmod
 from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
                      electron_density, field_free_hamiltonian, mean_dipole_mu,
                      photon_occupations, q_expectation, sector_dipoles)
@@ -95,8 +97,6 @@ class PropConfig:
     kick_axis: int = 0
     laser: LaserPulse | None = None
     norm_tol_step: float = 1e-10
-    use_energy_shift: bool = True
-    fd_order: int = gridmod.DEFAULT_ORDER
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -153,15 +153,13 @@ class _Scheme:
     potential for the next step; it is called at t = 0 and after every
     step, with the new density, and advances the scheme's photon state.
     ``sample(energy)`` turns the orbital energy of a sample into that
-    sample's photon columns and its energy ``E``.  ``ks_shifts`` takes the
-    energy shifts from V_KS alone instead of the full local term.
+    sample's photon columns and its energy ``E``.
     """
 
     method: str
     cavity: CavityMode | None
     photon_potential: Callable
     sample: Callable
-    ks_shifts: bool = False
 
 
 def propagate(state: ScfState, cfg: PropConfig) -> tuple[TimeSeries, OrbitalSet]:
@@ -231,7 +229,7 @@ def _drive(state: ScfState, cfg: PropConfig,
             row["q"] = q_expectation(orbitals, fock)
             for n, p in enumerate(photon_occupations(orbitals)):
                 row[f"P{n}"] = p
-        energy = total_energy(system, orbitals, fock, potential=pot, fd_order=cfg.fd_order)
+        energy = total_energy(system, orbitals, fock, potential=pot)
         row.update(scheme.sample(energy.total))
         row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
         if fock is not None:
@@ -249,11 +247,8 @@ def _drive(state: ScfState, cfg: PropConfig,
     density = electron_density(orbitals)
     pot = assemble_ks(density, system, v_ion=v_ion)
     v_local = pot.total + scheme.photon_potential(density)
-    hamiltonian = SparseHamiltonian(field_free_hamiltonian(grid, fock, cfg.fd_order),
-                                    pot.total if scheme.ks_shifts else v_local)
-    shifts = None
-    if cfg.use_energy_shift:
-        shifts = orbital_eigenvalues(orbitals, hamiltonian)
+    hamiltonian = SparseHamiltonian(field_free_hamiltonian(grid, fock), v_local)
+    shifts = orbital_eigenvalues(orbitals, hamiltonian)
 
     norms_ref = orbitals.norms()
     t = 0.0

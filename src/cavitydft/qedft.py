@@ -109,9 +109,8 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
     ``state`` must be a plain Kohn-Sham ground state (solved without the
     cavity); a cavity-coupled state raises :class:`UsageError`.  The photon
     starts at its static fixed point with zero velocity so that the delta
-    kick is the only perturbation.  The local term is V_KS + V_P, the energy
-    shifts come from V_KS alone, and each sample records q, qdot and
-    E = E_matter + mu^2/2 - w q mu + E_osc.  See
+    kick is the only perturbation.  The local term is V_KS + V_P, and each
+    sample records q, qdot and E = E_matter + mu^2/2 - w q mu + E_osc.  See
     :func:`~cavitydft.propagate._drive` for the stepping, the checks and
     the rest of the series.
     """
@@ -136,6 +135,5 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
         return {"q": osc.q, "qdot": osc.qdot,
                 "E": e_matter + 0.5 * mu**2 - w * osc.q * mu + osc.energy()}
 
-    series, orbitals = _drive(state, cfg, _Scheme("qedft", cavity, photon_potential, sample,
-                                                  ks_shifts=True))
+    series, orbitals = _drive(state, cfg, _Scheme("qedft", cavity, photon_potential, sample))
     return series, orbitals, osc

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import grid as gridmod
 from .cavity import (CavityMode, OrbitalSet, apply_hamiltonian, coupling_field,
                      electron_density, mean_dipole_mu, photon_occupations)
 from .errors import ConfigurationError, ConvergenceError
@@ -47,7 +46,6 @@ class ScfConfig:
     minimizer: str = "imaginary-time"
     fixed_step: float = 0.1
     sector_weights: tuple | None = None
-    fd_order: int = gridmod.DEFAULT_ORDER
 
     def __post_init__(self):
         if self.tol_energy <= 0 or self.tol_density <= 0:
@@ -93,11 +91,9 @@ class HamiltonianContext:
     cavity: CavityMode | None
     v_local: np.ndarray
     mu: float
-    order: int = gridmod.DEFAULT_ORDER
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        return apply_hamiltonian(psi, self.v_local, self.mu, self.cavity,
-                                 self.grid, order=self.order)
+        return apply_hamiltonian(psi, self.v_local, self.mu, self.cavity, self.grid)
 
 
 @dataclass
@@ -348,8 +344,7 @@ class _Minimizer:
 
 def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
                  cavity: CavityMode | None, *,
-                 potential: KsPotential | None = None,
-                 fd_order: int = gridmod.DEFAULT_ORDER) -> EnergyDecomposition:
+                 potential: KsPotential | None = None) -> EnergyDecomposition:
     """Energy of an orbital set, decomposed into additive pieces.
 
     The photon energy counts the mode once, w * sum_n (n + 1/2) P_n, and
@@ -366,7 +361,7 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
     psi = orbitals.psi
     occ = orbitals.occupations
 
-    lap = laplacian(psi, grid, fd_order)
+    lap = laplacian(psi, grid)
     flat = psi.reshape(orbitals.n_orbitals, -1)
     per_orb = -0.5 * np.einsum("mp,mp->m", flat.conj(),
                                lap.reshape(orbitals.n_orbitals, -1)).real * dv
@@ -468,15 +463,14 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         density_in = Density(rho_in, grid, system.n_electrons)
         pot = assemble_ks(density_in, system, v_ion=v_ion)
         mu = mean_dipole_mu(density_in, cavity)
-        ctx = HamiltonianContext(grid, cavity, pot.total, mu, cfg.fd_order)
+        ctx = HamiltonianContext(grid, cavity, pot.total, mu)
         orbitals = gram_schmidt_sectorwise(
             OrbitalSet(minimizer.step(orbitals, ctx), orbitals.occupations, grid))
 
         density_out = electron_density(orbitals)
         rho_out = density_out.values
         pot_out = assemble_ks(density_out, system, v_ion=v_ion)
-        energy = total_energy(system, orbitals, cavity, potential=pot_out,
-                              fd_order=cfg.fd_order)
+        energy = total_energy(system, orbitals, cavity, potential=pot_out)
         d_e = np.inf if energy_prev is None else energy.total - energy_prev
         d_rho = float(np.sum(np.abs(rho_out - rho_in))) * grid.volume_element
         pn = photon_occupations(orbitals) if cavity is not None else np.array([1.0])

@@ -21,7 +21,7 @@ from scipy import fft
 
 from .errors import AnalysisError, ConfigurationError, GridMismatchError, UsageError
 from .grid import Grid
-from .timeseries import TimeSeries, axis_name
+from .timeseries import TimeSeries, axis_index, axis_name
 
 SPEED_OF_LIGHT = 137.036
 
@@ -166,7 +166,7 @@ def polarizability(series: TimeSeries, cfg: SpectrumConfig, *,
     k = float(series.meta["kick_strength"])
     if k == 0.0:
         raise UsageError("kick strength recorded as zero; polarizability undefined")
-    kick_axis = {"x": 0, "y": 1, "z": 2}[series.meta.get("kick_axis", "x")]
+    kick_axis = axis_index(series.meta.get("kick_axis", "x"))
     if response_axis is None:
         response_axis = kick_axis
     d = series.dipole(response_axis) if dipole is None else np.asarray(dipole, float)
@@ -292,7 +292,7 @@ def hhg_spectrum(series: TimeSeries, cfg: SpectrumConfig, *,
         raise UsageError("series carries no laser metadata")
     w_l = float(series.meta["laser_carrier"])
     if axis is None:
-        axis = {"x": 0, "y": 1, "z": 2}[series.meta.get("laser_axis", "x")]
+        axis = axis_index(series.meta.get("laser_axis", "x"))
     d = series.dipole(axis) if dipole is None else np.asarray(dipole, float)
     t_acc, acc = dipole_acceleration(series.t, d)
 
@@ -322,7 +322,7 @@ def sector_resolved_cross_sections(series: TimeSeries, cfg: SpectrumConfig) -> l
     n_sectors = series.n_sector_columns
     if n_sectors == 0:
         raise UsageError("series carries no sector-resolved dipole columns")
-    kick_axis = {"x": 0, "y": 1, "z": 2}[series.meta.get("kick_axis", "x")]
+    kick_axis = axis_index(series.meta.get("kick_axis", "x"))
     out = []
     for n in range(n_sectors):
         d_n = series.sector_dipole(n, kick_axis)

@@ -122,3 +122,10 @@ def _parse_meta_value(text: str):
 
 def axis_name(axis: int) -> str:
     return _AXES[axis]
+
+
+def axis_index(name: str) -> int:
+    """The axis number of ``name`` ('x', 'y' or 'z')."""
+    if name not in _AXES:
+        raise UsageError(f"unknown axis {name!r}; expected one of {', '.join(_AXES)}")
+    return _AXES.index(name)

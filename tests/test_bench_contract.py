@@ -1,7 +1,12 @@
-"""The names the benchmark's tracer wraps must stay module-level callables."""
+"""The benchmark's contract with the package.
+
+The names the benchmark's tracer wraps must stay module-level callables,
+and every workload must still build and run against the package's API.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +17,7 @@ from cavitydft.grid import Grid
 from cavitydft.potentials import ElectronSystem, Ion
 
 RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+WORKLOADS_PY = RUN_PY.with_name("workloads.py")
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -60,3 +66,14 @@ def test_scf_calls_its_traced_names_through_module_globals(traced_sites, monkeyp
     wrapped = {attr for module, attr in traced_sites
                if module == "cavitydft.scf" and attr != "scf_solve"}
     assert set(calls) == wrapped
+
+
+def test_every_workload_runs_clean_at_tiny_size(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        runs, _, _ = workloads.run_once(workload, True)
+        assert workloads.check(runs, None, {}) == {}, name

@@ -174,7 +174,7 @@ class TestSparseHamiltonian:
     @pytest.mark.parametrize("shape,h,lam", [((31,), 0.4, (0.3,)),
                                              ((7, 8, 9), 0.5, (0.2, -0.1, 0.15))])
     def test_matches_apply_hamiltonian(self, shape, h, lam, n_fock, order):
-        grid = Grid(shape, h)
+        grid = Grid(shape, h, order)
         cav = None if n_fock is None else CavityMode(omega=0.3, coupling=lam, n_fock=n_fock)
         n_sec = 1 if cav is None else cav.n_sectors
         rng = np.random.default_rng(order)
@@ -183,12 +183,12 @@ class TestSparseHamiltonian:
         v = rng.standard_normal(shape)
         mu = 0.0 if cav is None else 0.37
         efield = 0.02 * np.arange(1.0, grid.dim + 1.0)
-        ref = apply_hamiltonian(psi, v, mu, cav, grid, order=order, efield=efield)
+        ref = apply_hamiltonian(psi, v, mu, cav, grid, efield=efield)
 
         v_local = v + sum(e * grid.coordinate(a) for a, e in enumerate(efield))
         if cav is not None:
             v_local = v_local + mu * coupling_field(cav, grid)
-        out = SparseHamiltonian(field_free_hamiltonian(grid, cav, order), v_local).apply(psi)
+        out = SparseHamiltonian(field_free_hamiltonian(grid, cav), v_local).apply(psi)
         assert out.shape == psi.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 

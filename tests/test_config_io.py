@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from cavitydft.cli import main
 from cavitydft.config import _KNOWN_KEYS, parse_config
 from cavitydft.errors import ConfigurationError, UsageError
 from cavitydft.grid import Grid
+from cavitydft.oracle import read_golden
 from cavitydft.scf import ScfConfig
 from cavitydft.spectra import SpectrumConfig
 from cavitydft.timeseries import TimeSeries
@@ -134,10 +136,15 @@ n_fock = 1
         with pytest.raises(ConfigurationError):
             parse_config(write(tmp_path, text))
 
-    def test_inner_steps_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("section, lines, key", [
+        ("scf", "inner_steps = 1", "inner_steps"),
+        ("scf", "fd_order = 5", "fd_order"),  # the stencil order is a [system] key
+        ("prop", "dt = 0.05\nn_steps = 10\nenergy_shift = no", "energy_shift"),
+    ], ids=["inner-steps", "scf-fd-order", "energy-shift"])
+    def test_removed_keys_rejected(self, tmp_path, section, lines, key):
         with pytest.raises(ConfigurationError) as err:
-            parse_config(write(tmp_path, MINIMAL + "\n[scf]\ninner_steps = 1\n"))
-        assert any("inner_steps" in v for v in err.value.violations)
+            parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\n{lines}\n"))
+        assert f"unknown key '{key}' in [{section}]" in err.value.violations
 
     @pytest.mark.parametrize("section, config_class", [("scf", ScfConfig),
                                                        ("spectra", SpectrumConfig)])
@@ -151,8 +158,13 @@ n_fock = 1
         ("laser_amplitude = 0.005\nlaser_carrier = 0.057\nlaser_axis = z", "laser_axis"),
         ("laser_amplitude = 0.005\nlaser_carrier = 0.057\nlaser_envelope_time = 40.0\n"
          "laser_envelope_rule = two-pi", "laser_envelope_rule"),
+        ("laser_carrier = 0.057", "laser_carrier"),
+        ("laser_axis = x", "laser_axis"),
+        ("laser_envelope_rule = two-pi", "laser_envelope_rule"),
+        ("laser_envelope_time = 40.0", "laser_envelope_time"),
     ], ids=["unknown-kick-axis", "kick-axis-off-grid", "laser-axis-off-grid",
-            "envelope-time-and-rule"])
+            "envelope-time-and-rule", "carrier-without-amplitude", "axis-without-amplitude",
+            "rule-without-amplitude", "envelope-time-without-amplitude"])
     def test_bad_prop_settings_reported(self, tmp_path, capsys, lines, named):
         text = MINIMAL.replace("points = 61", "points = 41") + (
             "\n[prop]\ndt = 0.05\nn_steps = 10\n" + lines + "\n")
@@ -161,6 +173,11 @@ n_fock = 1
         err = capsys.readouterr().err
         assert code == 2
         assert "ERROR ConfigurationError" in err and "[prop]" in err and named in err
+
+    def test_stencil_order_is_a_system_key(self, tmp_path):
+        cfg = parse_config(write(tmp_path, MINIMAL + "fd_order = 5\n"))
+        assert cfg.grid == Grid((61,), 0.4, 5)
+        assert cfg.system.grid.order == 5
 
     def test_ion_line_errors_located(self, tmp_path):
         bad = MINIMAL.replace("1.0  0.0  1.0", "1.0  0.0")
@@ -207,6 +224,22 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(orbitals=orbs, cavity=None))
         assert load_checkpoint(path).cavity is None
 
+    def test_roundtrip_keeps_stencil_order(self, tmp_path):
+        orbs = self._orbitals()
+        orbs = OrbitalSet(orbs.psi, orbs.occupations, Grid((31,), 0.3, order=5))
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, Checkpoint(orbitals=orbs, cavity=None))
+        assert load_checkpoint(path).orbitals.grid == Grid((31,), 0.3, order=5)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, Checkpoint(orbitals=self._orbitals(), cavity=None))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8, 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(UsageError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.chk"
         path.write_bytes(b"NOTACHKP" + b"\x00" * 64)
@@ -236,6 +269,17 @@ class TestTimeSeries:
     def test_missing_time_column(self):
         with pytest.raises(UsageError):
             TimeSeries(columns={"Dx": np.zeros(3)})
+
+    def test_unknown_axis_reported_by_cli(self, tmp_path, capsys):
+        t = np.arange(50) * 0.1
+        path = tmp_path / "ts.tsv"
+        TimeSeries(columns={"t": t, "Dx": np.sin(t)},
+                   meta={"kick_strength": 1e-3, "kick_axis": "w"}).write(path)
+        code = main(["spectrum", "--config", str(write(tmp_path, MINIMAL)),
+                     "--out", str(tmp_path), "--series", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ERROR UsageError" in err and "'w'" in err
 
 
 CLI_CFG = """
@@ -336,6 +380,34 @@ class TestCli:
         res = run_cli(["scf", "--config", "bad.cfg"], cli_dir)
         assert res.returncode == 2
         assert "ERROR ConfigurationError" in res.stderr
+
+
+class TestCliStencilOrder:
+    """The [system] fd_order reaches the SCF, the oracle and the checkpoint."""
+
+    CFG = CLI_CFG.replace("spacing = 0.4\n", "spacing = 0.4\nfd_order = 3\n")
+
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("order3")
+        (path / "run.cfg").write_text(self.CFG)
+        assert main(["scf", "--config", str(path / "run.cfg"), "--out", str(path)]) == 0
+        return path
+
+    def test_oracle_matches_the_scf_energy(self, solved):
+        assert main(["oracle", "--config", str(solved / "run.cfg"), "--out", str(solved)]) == 0
+        table = (solved / "atom_scf_energy.tsv").read_text().splitlines()
+        energy = dict(line.split("\t") for line in table if not line.startswith("#"))
+        golden, _ = read_golden(solved / "atom_golden.tsv")
+        assert abs(float(energy["total"]) - golden["energy"]) < 1e-8
+
+    def test_checkpoint_at_another_order_rejected(self, solved, capsys):
+        other = solved / "order5.cfg"
+        other.write_text(self.CFG.replace("fd_order = 3", "fd_order = 5"))
+        code = main(["propagate", "--config", str(other), "--out", str(solved)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ERROR UsageError" in err and "order=3" in err and "order=5" in err
 
 
 POLARITON_CFG = """

@@ -46,7 +46,7 @@ class TestGridConstruction:
 class TestLaplacian:
     def test_constant_field_interior_zero(self, line):
         f = np.ones(line.shape)
-        lap = laplacian(f, line, 9)
+        lap = laplacian(f, line)
         # interior points farther than the half-width from the wall
         assert np.max(np.abs(lap[4:-4])) < 1e-12
 
@@ -55,7 +55,7 @@ class TestLaplacian:
         g = Grid((401,), 0.05)
         x = g.coordinate(0)
         f = np.exp(-x**2)
-        lap = laplacian(f, g, 9)
+        lap = laplacian(f, g)
         exact = (4.0 * x**2 - 2.0) * np.exp(-x**2)
         i0 = 200
         assert abs(lap[i0] - exact[i0]) < 1e-8
@@ -64,7 +64,7 @@ class TestLaplacian:
         # at h = 0.1 the leading truncation term is h^8 f^(10)(0)/3150 ~ 9.6e-8
         g = Grid((201,), 0.1)
         x = g.coordinate(0)
-        lap = laplacian(np.exp(-x**2), g, 9)
+        lap = laplacian(np.exp(-x**2), g)
         err = abs(lap[100] - (-2.0))
         assert 1e-8 < err < 2e-7
 
@@ -74,10 +74,10 @@ class TestLaplacian:
 
         def max_err(h):
             n = int(round(20.0 / h)) + 1
-            g = Grid((n,), h)
+            g = Grid((n,), h, order)
             x = g.coordinate(0)
             f = np.sin(k * x)
-            lap = laplacian(f, g, order)
+            lap = laplacian(f, g)
             inner = np.abs(x) < 5.0
             return np.max(np.abs(lap + k**2 * f)[inner])
 
@@ -118,14 +118,13 @@ class TestLaplacian:
 
     def test_minimum_grid_accepted_by_widest_stencil(self):
         # five points exceed the 9-point half-width of four, the boundary case
-        g = Grid((5,), 0.1)
-        lap = laplacian(np.ones(5), g, 9)
+        g = Grid((5,), 0.1, 9)
+        lap = laplacian(np.ones(5), g)
         assert lap.shape == (5,)
 
     def test_unsupported_order_rejected(self):
-        g = Grid((21,), 0.1)
-        with pytest.raises(ConfigurationError):
-            laplacian(np.ones(21), g, 11)
+        with pytest.raises(ConfigurationError, match="unsupported stencil order 11"):
+            Grid((21,), 0.1, order=11)
 
     def test_deterministic(self, line):
         rng = np.random.default_rng(7)
@@ -133,9 +132,9 @@ class TestLaplacian:
         assert np.array_equal(laplacian(f, line), laplacian(f, line))
 
 
-def two_pass_complex_laplacian(f, grid, order):
+def two_pass_complex_laplacian(f, grid):
     """Reference: real and imaginary parts filtered apart, axis by axis."""
-    weights = d2_stencil(order) / grid.h**2
+    weights = d2_stencil(grid.order) / grid.h**2
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     for axis in range(-grid.dim, 0):
         out += (ndimage.correlate1d(f.real, weights, axis=axis, mode="constant")
@@ -159,16 +158,16 @@ class TestComplexLaplacianBitIdentical:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_two_pass_formula(self, case, order):
         grid, lead = self.CASES[case]
+        grid = Grid(grid.shape, grid.h, order)
         f = self.field(lead + grid.shape, order)
-        assert np.array_equal(laplacian(f, grid, order),
-                              two_pass_complex_laplacian(f, grid, order))
+        assert np.array_equal(laplacian(f, grid), two_pass_complex_laplacian(f, grid))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_non_contiguous_slice(self, case):
         grid, lead = self.CASES[case]
         f = self.field(lead + grid.shape, 11)[..., ::-1]
         assert not f.flags.c_contiguous
-        assert np.array_equal(laplacian(f, grid), two_pass_complex_laplacian(f, grid, 9))
+        assert np.array_equal(laplacian(f, grid), two_pass_complex_laplacian(f, grid))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_complex64_input(self, case):
@@ -176,7 +175,7 @@ class TestComplexLaplacianBitIdentical:
         f = self.field(lead + grid.shape, 12, dtype=np.complex64)
         lap = laplacian(f, grid)
         assert lap.dtype == np.complex128
-        assert np.array_equal(lap, two_pass_complex_laplacian(f, grid, 9))
+        assert np.array_equal(lap, two_pass_complex_laplacian(f, grid))
 
 
 class TestInnerProduct:

@@ -112,19 +112,16 @@ class TestHartree3D:
             cols.append(-laplacian(e.reshape(g.shape), g).ravel())
         a_mat = sp.csr_matrix(np.column_stack(cols))
         from cavitydft.potentials import _multipole_boundary, laplacian_padded
-        from cavitydft.grid import d2_stencil
-        weights = d2_stencil(9) / g.h**2
-        pad = 4
-        vb = _multipole_boundary(rho, g, pad)
-        b = 4 * np.pi * rho + laplacian_padded(vb, g, weights, pad)
+        vb = _multipole_boundary(rho, g)
+        b = 4 * np.pi * rho + laplacian_padded(vb, g)
         v_direct = sla.spsolve(a_mat.tocsc(), b.ravel()).reshape(g.shape)
         assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
 
     @staticmethod
-    def sparse_neg_laplacian(grid, order):
+    def sparse_neg_laplacian(grid):
         """-lap as a Kronecker sum of 1D zero-wall stencil matrices."""
-        w = d2_stencil(order) / grid.h**2
-        half = (order - 1) // 2
+        w = d2_stencil(grid.order) / grid.h**2
+        half = (grid.order - 1) // 2
         eyes = [sp.identity(n, format="csr") for n in grid.shape]
         total = sp.csr_matrix((grid.n_points, grid.n_points))
         for axis, n in enumerate(grid.shape):
@@ -136,29 +133,27 @@ class TestHartree3D:
 
     @pytest.mark.parametrize("order", [3, 5, 7, 9])
     def test_matches_sparse_solve_every_order(self, order):
-        g = Grid((13, 11, 9), 0.6)
+        g = Grid((13, 11, 9), 0.6, order)
         x, y, z = g.coordinates
         rho = np.exp(-((x - 0.4) ** 2 + y**2 + (z + 0.2) ** 2))
         rho /= integrate(rho, g)
-        v_cg = hartree_potential_3d(rho, g, order=order, tol=1e-10)
+        v_cg = hartree_potential_3d(rho, g, tol=1e-10)
 
-        pad = (order - 1) // 2
-        vb = potentials._multipole_boundary(rho, g, pad)
-        b = 4 * np.pi * rho + potentials.laplacian_padded(vb, g, d2_stencil(order) / g.h**2,
-                                                          pad)
-        v_direct = sla.spsolve(self.sparse_neg_laplacian(g, order), b.ravel()).reshape(g.shape)
+        vb = potentials._multipole_boundary(rho, g)
+        b = 4 * np.pi * rho + potentials.laplacian_padded(vb, g)
+        v_direct = sla.spsolve(self.sparse_neg_laplacian(g), b.ravel()).reshape(g.shape)
         assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
 
     def test_inverse_symbol_cache_is_read_only(self):
         g = Grid((9, 7, 5), 0.5)
-        inverse = potentials._inverse_dirichlet_symbol(g, 9)
-        assert inverse is potentials._inverse_dirichlet_symbol(Grid((9, 7, 5), 0.5), 9)
+        inverse = potentials._inverse_dirichlet_symbol(g)
+        assert inverse is potentials._inverse_dirichlet_symbol(Grid((9, 7, 5), 0.5))
         assert not inverse.flags.writeable
         assert np.all(inverse > 0)
 
     def test_padded_geometry_cache_is_read_only(self):
-        coords, r, r3 = potentials._padded_geometry(Grid((9, 7, 5), 0.5), 4)
-        assert r is potentials._padded_geometry(Grid((9, 7, 5), 0.5), 4)[1]
+        coords, r, r3 = potentials._padded_geometry(Grid((9, 7, 5), 0.5))
+        assert r is potentials._padded_geometry(Grid((9, 7, 5), 0.5))[1]
         assert r.shape == (17, 15, 13)
         assert not any(a.flags.writeable for a in (*coords, r, r3))
 

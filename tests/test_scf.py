@@ -343,16 +343,16 @@ class TestBitIdentity:
         assert float(state.energy.total).hex() == "-0x1.7f039abb5ec44p-1"
 
     def test_returned_state_is_its_orbitals_state(self):
-        system = ElectronSystem(grid=Grid((61,), 0.4),
+        system = ElectronSystem(grid=Grid((61,), 0.4, order=5),
                                 ions=[Ion(1.0, (-1.2,), 1.0), Ion(1.0, (1.2,), 1.0)],
                                 occupations=[2.0])
         cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
         state = scf_solve(system, cav, ScfConfig(tol_energy=1e-8, tol_density=1e-6,
-                                                 max_iterations=2000, fd_order=5))
+                                                 max_iterations=2000))
         # a new OrbitalSet, so |psi|^2 is formed again rather than taken from the cache
         rho = electron_density(OrbitalSet(state.orbitals.psi.copy(), [2.0], system.grid))
         pot = assemble_ks(rho, system)
-        energy = total_energy(system, state.orbitals, cav, potential=pot, fd_order=5)
+        energy = total_energy(system, state.orbitals, cav, potential=pot)
         assert np.array_equal(state.density.values, rho.values)
         for piece in ("v_hartree", "v_xc", "v_ion", "total"):
             assert np.array_equal(getattr(state.potential, piece), getattr(pot, piece))
