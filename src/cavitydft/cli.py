@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -259,10 +260,10 @@ def _cmd_validate(args, cfg: RunConfig, out: Path) -> int:
         pn = photon_occupations(orbs)
         checks.append(("occupation sum rule", abs(pn.sum() - 1.0) < 1e-10))
 
-    import tempfile
-    with tempfile.NamedTemporaryFile(suffix=".chk", delete=False) as tmp:
-        save_checkpoint(tmp.name, Checkpoint(orbitals=orbs, cavity=cfg.cavity))
-        loaded = load_checkpoint(tmp.name)
+    with tempfile.TemporaryDirectory() as tmp:
+        chk_path = Path(tmp) / "roundtrip.chk"
+        save_checkpoint(chk_path, Checkpoint(orbitals=orbs, cavity=cfg.cavity))
+        loaded = load_checkpoint(chk_path)
     checks.append(("checkpoint round-trip",
                    np.array_equal(loaded.orbitals.psi, orbs.psi)))
 

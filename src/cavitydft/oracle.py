@@ -28,6 +28,8 @@ DIMENSION_CAP = 20_000
 
 FLAVORS = ("bare", "mean-field-mu", "quadratic-dsi")
 
+_RESIDUAL_TOL = 1e-10
+
 
 def kinetic_matrix(grid: Grid) -> sp.csr_matrix:
     """-1/2 d^2/dx^2 as a banded matrix with hard-wall truncation."""
@@ -93,12 +95,12 @@ def assemble(system: ElectronSystem, cavity: CavityMode, *,
     return sp.bmat(blocks, format="csr")
 
 
-def ground_state(h: sp.spmatrix, *, residual_tol: float = 1e-10) -> tuple:
+def ground_state(h: sp.spmatrix) -> tuple:
     """Lowest eigenpair of a Hermitian sparse matrix.
 
     Small problems go through dense diagonalization; larger ones use
     Lanczos iteration with a fixed deterministic start vector.  The
-    residual ||H v - E v|| is verified against ``residual_tol``.
+    residual ||H v - E v|| is verified against ``_RESIDUAL_TOL``.
     """
     n = h.shape[0]
     if n <= 2000:
@@ -109,9 +111,9 @@ def ground_state(h: sp.spmatrix, *, residual_tol: float = 1e-10) -> tuple:
         vals, vecs = eigsh(h, k=1, which="SA", v0=start, maxiter=20000)
         e0, v0 = float(vals[0]), vecs[:, 0]
     residual = float(np.linalg.norm(h @ v0 - e0 * v0))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"eigensolver residual {residual:.3e} above {residual_tol:.1e}",
+            f"eigensolver residual {residual:.3e} above {_RESIDUAL_TOL:.1e}",
             diagnostics={"residual": residual})
     return e0, v0
 

@@ -21,7 +21,7 @@ from scipy import fft
 
 from .errors import AnalysisError, ConfigurationError, GridMismatchError, UsageError
 from .grid import Grid
-from .timeseries import TimeSeries, axis_index, axis_name
+from .timeseries import TimeSeries, axis_index, axis_name, write_table
 
 SPEED_OF_LIGHT = 137.036
 
@@ -84,25 +84,15 @@ class Spectrum:
     meta: dict = field(default_factory=dict)
 
     def write(self, path, extra_columns: dict | None = None) -> None:
-        cols, names = [self.omega], ["omega"]
+        columns = {"omega": self.omega}
         if self.alpha is not None:
-            cols += [self.alpha.real, self.alpha.imag]
-            names += ["Re_alpha", "Im_alpha"]
+            columns.update(Re_alpha=self.alpha.real, Im_alpha=self.alpha.imag)
         if self.sigma is not None:
-            cols.append(self.sigma)
-            names.append("sigma")
-        for name, col in (extra_columns or {}).items():
-            cols.append(np.asarray(col, dtype=float))
-            names.append(name)
-        with open(path, "w") as fh:
-            for key in sorted(self.meta):
-                fh.write(f"# {key} = {self.meta[key]}\n")
-            for pk in self.peaks:
-                fh.write(f"# peak location={pk.location:.8g} height={pk.height:.8g} "
-                         f"width={pk.width:.8g}\n")
-            fh.write("\t".join(names) + "\n")
-            for row in zip(*cols):
-                fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+            columns["sigma"] = self.sigma
+        columns.update(extra_columns or {})
+        write_table(path, self.meta, columns, [
+            f"peak location={pk.location:.8g} height={pk.height:.8g} width={pk.width:.8g}"
+            for pk in self.peaks])
 
 
 def _uniform_step(x: np.ndarray, what: str) -> float:
@@ -152,14 +142,12 @@ def damped_transform(t: np.ndarray, f: np.ndarray, omega: np.ndarray,
 
 
 def polarizability(series: TimeSeries, cfg: SpectrumConfig, *,
-                   response_axis: int | None = None,
                    dipole: np.ndarray | None = None) -> Spectrum:
-    """Dynamic polarizability alpha_ij(w) from a delta-kick run.
+    """Dynamic polarizability alpha_ii(w) from a delta-kick run.
 
-    i is the kicked axis recorded in the series metadata, j is
-    ``response_axis`` (defaults to the kicked axis).  ``dipole`` overrides
-    the response column, which lets sector-resolved dipoles reuse the
-    same pipeline.
+    i is the kicked axis recorded in the series metadata; the response is
+    the dipole along that axis.  ``dipole`` overrides the response column,
+    which lets sector-resolved dipoles reuse the same pipeline.
     """
     if "kick_strength" not in series.meta:
         raise UsageError("series carries no delta-kick metadata")
@@ -167,19 +155,17 @@ def polarizability(series: TimeSeries, cfg: SpectrumConfig, *,
     if k == 0.0:
         raise UsageError("kick strength recorded as zero; polarizability undefined")
     kick_axis = axis_index(series.meta.get("kick_axis", "x"))
-    if response_axis is None:
-        response_axis = kick_axis
-    d = series.dipole(response_axis) if dipole is None else np.asarray(dipole, float)
+    d = series.dipole(kick_axis) if dipole is None else np.asarray(dipole, float)
     signal = d - d[0]
     omega = cfg.frequencies()
     eta = cfg.damping_rate(series.t[-1])
     alpha = damped_transform(series.t, signal, omega, eta, sign=+1) / k
     meta = {"kick_strength": k, "kick_axis": axis_name(kick_axis),
-            "response_axis": axis_name(response_axis), "eta": eta}
+            "response_axis": axis_name(kick_axis), "eta": eta}
     return Spectrum(omega=omega, alpha=alpha, meta=meta)
 
 
-def cross_section(alphas, cfg: SpectrumConfig | None = None) -> Spectrum:
+def cross_section(alphas, cfg: SpectrumConfig) -> Spectrum:
     """Photo-absorption cross section from polarizability components.
 
     ``alphas`` is one Spectrum or a sequence of them (the available
@@ -198,8 +184,7 @@ def cross_section(alphas, cfg: SpectrumConfig | None = None) -> Spectrum:
             raise UsageError("polarizability components use different frequency grids")
         trace = trace + sp.alpha.imag
     sigma = (4.0 * np.pi / (3.0 * SPEED_OF_LIGHT)) * omega * trace
-    threshold = cfg.peak_threshold if cfg is not None else 1e-3
-    peaks = find_peaks(omega, sigma, rel_threshold=threshold)
+    peaks = find_peaks(omega, sigma, rel_threshold=cfg.peak_threshold)
     meta = dict(alphas[0].meta)
     meta["components"] = len(alphas)
     return Spectrum(omega=omega, sigma=sigma, peaks=peaks, meta=meta)

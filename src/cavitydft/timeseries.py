@@ -1,7 +1,8 @@
 """Uniformly sampled observable records and their tab-separated text format.
 
 Files carry '#'-prefixed ``key = value`` metadata lines, then a header row
-naming every column, then the samples.  All values are atomic units.
+naming every column, then the samples; spectra (``write_table``) use the
+same layout.  All values are atomic units.
 """
 
 from __future__ import annotations
@@ -68,17 +69,7 @@ class TimeSeries:
         return sum(1 for name in self.columns if name.startswith("Dx_s"))
 
     def write(self, path, extra_meta: dict | None = None) -> None:
-        meta = dict(self.meta)
-        if extra_meta:
-            meta.update(extra_meta)
-        names = list(self.columns)
-        data = np.column_stack([self.columns[n] for n in names])
-        with open(path, "w") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key} = {meta[key]}\n")
-            fh.write("\t".join(names) + "\n")
-            for row in data:
-                fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+        write_table(path, {**self.meta, **(extra_meta or {})}, self.columns)
 
     @classmethod
     def read(cls, path) -> "TimeSeries":
@@ -107,6 +98,22 @@ class TimeSeries:
             raise UsageError(f"column count mismatch in {path}")
         columns = {name: data[:, i].copy() for i, name in enumerate(names)}
         return cls(columns=columns, meta=meta)
+
+
+def write_table(path, meta: dict, columns: dict, notes=()) -> None:
+    """Sorted '# key = value' lines, one '# note' line per note, then the table.
+
+    The table is a tab-separated header row of the column names and one
+    row per sample, every value written exactly (``%.17g``).
+    """
+    with open(path, "w") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key} = {meta[key]}\n")
+        for note in notes:
+            fh.write(f"# {note}\n")
+        fh.write("\t".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _parse_meta_value(text: str):

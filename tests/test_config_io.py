@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,13 @@ import cavitydft
 from cavitydft.cavity import CavityMode, OrbitalSet
 from cavitydft.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cavitydft.cli import main
-from cavitydft.config import _KNOWN_KEYS, parse_config
+from cavitydft.config import _KNOWN_KEYS, RunConfig, parse_config
 from cavitydft.errors import ConfigurationError, UsageError
 from cavitydft.grid import Grid
 from cavitydft.oracle import read_golden
+from cavitydft.propagate import PropConfig
 from cavitydft.scf import ScfConfig
-from cavitydft.spectra import SpectrumConfig
+from cavitydft.spectra import Peak, Spectrum, SpectrumConfig
 from cavitydft.timeseries import TimeSeries
 
 MINIMAL = """
@@ -68,8 +70,9 @@ class TestParseConfig:
         assert cfg.grid == Grid((61,), 0.4)
         assert cfg.cavity is None
         assert cfg.system.use_hartree and cfg.system.use_xc
-        assert cfg.scf.mixing == 0.3
-        assert cfg.spectra.omega_step == 1e-3
+        assert cfg.scf == ScfConfig()
+        assert cfg.spectra == SpectrumConfig()
+        assert cfg.prop is None
         assert cfg.prefix == "run"
 
     def test_full_config(self, tmp_path):
@@ -146,11 +149,32 @@ n_fock = 1
             parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\n{lines}\n"))
         assert f"unknown key '{key}' in [{section}]" in err.value.violations
 
-    @pytest.mark.parametrize("section, config_class", [("scf", ScfConfig),
-                                                       ("spectra", SpectrumConfig)])
-    def test_keys_are_the_config_fields(self, section, config_class):
-        fields = {f.name for f in dataclasses.fields(config_class)}
-        assert set(_KNOWN_KEYS[section]) == fields
+    @pytest.mark.parametrize("section, config_class, not_keys", [
+        ("scf", ScfConfig, set()),
+        ("spectra", SpectrumConfig, set()),
+        ("output", RunConfig, {"grid", "system", "cavity", "scf", "prop", "spectra",
+                               "raw_text"}),
+        ("prop", PropConfig, {"laser"}),  # the laser_ keys fill PropConfig.laser
+    ], ids=["scf-ScfConfig", "spectra-SpectrumConfig", "output-RunConfig", "prop-PropConfig"])
+    def test_keys_are_the_config_fields(self, section, config_class, not_keys):
+        fields = {f.name for f in dataclasses.fields(config_class)} - not_keys
+        assert {key for key in _KNOWN_KEYS[section] if not key.startswith("laser_")} == fields
+
+    def test_empty_value_means_not_given(self, tmp_path):
+        text = MINIMAL + "\n[spectra]\neta =\nomega_max = 0.5\n\n[output]\nprefix =\n"
+        cfg = parse_config(write(tmp_path, text))
+        assert cfg.spectra == SpectrumConfig(omega_max=0.5)
+        assert cfg.prefix == "run"
+
+    @pytest.mark.parametrize("section, lines, key", [
+        ("cavity", "lambda = 0.05", "omega"),
+        ("prop", "n_steps = 10", "dt"),
+        ("prop", "dt = 0.05\nkick_strength = 0.001", "n_steps"),
+    ], ids=["cavity-omega", "prop-dt", "prop-n_steps"])
+    def test_required_keys_of_optional_sections(self, tmp_path, section, lines, key):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\n{lines}\n"))
+        assert err.value.violations == [f"missing required key '{key}' in [{section}]"]
 
     @pytest.mark.parametrize("lines, named", [
         ("kick_strength = 0.001\nkick_axis = q", "kick_axis"),
@@ -162,9 +186,13 @@ n_fock = 1
         ("laser_axis = x", "laser_axis"),
         ("laser_envelope_rule = two-pi", "laser_envelope_rule"),
         ("laser_envelope_time = 40.0", "laser_envelope_time"),
+        ("laser_amplitude = 0.005\nlaser_carrier = 0.057\nlaser_envelope_rule = half",
+         "laser_envelope_rule"),
+        ("laser_amplitude = 0.005", "laser_carrier"),
     ], ids=["unknown-kick-axis", "kick-axis-off-grid", "laser-axis-off-grid",
             "envelope-time-and-rule", "carrier-without-amplitude", "axis-without-amplitude",
-            "rule-without-amplitude", "envelope-time-without-amplitude"])
+            "rule-without-amplitude", "envelope-time-without-amplitude", "unknown-envelope-rule",
+            "amplitude-without-carrier"])
     def test_bad_prop_settings_reported(self, tmp_path, capsys, lines, named):
         text = MINIMAL.replace("points = 61", "points = 41") + (
             "\n[prop]\ndt = 0.05\nn_steps = 10\n" + lines + "\n")
@@ -270,6 +298,22 @@ class TestTimeSeries:
         with pytest.raises(UsageError):
             TimeSeries(columns={"Dx": np.zeros(3)})
 
+    def test_spectrum_table_layout(self, tmp_path):
+        omega = np.linspace(0.0, 1.0, 5)
+        spec = Spectrum(omega=omega, alpha=np.exp(1j * omega) / 3.0, sigma=omega / 7.0,
+                        peaks=[Peak(location=0.25, height=2.0, width=0.125)],
+                        meta={"kick_axis": "x", "eta": 0.01})
+        path = tmp_path / "spec.tsv"
+        spec.write(path, extra_columns={"omega_eV": 27.2 * omega})
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# eta = 0.01", "# kick_axis = x",
+                             "# peak location=0.25 height=2 width=0.125",
+                             "omega\tRe_alpha\tIm_alpha\tsigma\tomega_eV"]
+        rows = np.array([[float(v) for v in ln.split("\t")] for ln in lines[4:]])
+        expected = np.column_stack([omega, spec.alpha.real, spec.alpha.imag, spec.sigma,
+                                    27.2 * omega])
+        assert np.array_equal(rows, expected)
+
     def test_unknown_axis_reported_by_cli(self, tmp_path, capsys):
         t = np.arange(50) * 0.1
         path = tmp_path / "ts.tsv"
@@ -374,6 +418,15 @@ class TestCli:
         assert chk1 == chk2
         assert ((out1 / "atom_scf_energy.tsv").read_text()
                 == (out2 / "atom_scf_energy.tsv").read_text())
+
+    def test_validate_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        code = main(["validate", "--config", str(write(tmp_path, MINIMAL)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert list(scratch.iterdir()) == []
 
     def test_bad_config_exit_code(self, cli_dir):
         (cli_dir / "bad.cfg").write_text("[system]\ndim = 5\n")
