@@ -169,13 +169,12 @@ class OrbitalSet:
 
 
 def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
-                      cavity: CavityMode | None, grid: Grid, *,
-                      efield: np.ndarray | None = None) -> np.ndarray:
+                      cavity: CavityMode | None, grid: Grid) -> np.ndarray:
     """Act with the coupled one-body Hamiltonian on orbital sector stacks.
 
     Per sector n the result is
 
-        -1/2 lap(psi_n) + [V_local + mu (lam.r) + (n + 1/2) w + E.r] psi_n
+        -1/2 lap(psi_n) + [V_local + mu (lam.r) + (n + 1/2) w] psi_n
         - sqrt(w/2) (lam.r) [sqrt(n) psi_{n-1} + sqrt(n+1) psi_{n+1}]
 
     where terms that reference sectors outside 0..N_F are dropped.  With
@@ -183,21 +182,16 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
     spatial stack (no sector axis handling beyond a pass-through).
 
     ``psi`` may have leading axes ``(orbitals, sectors)`` or just
-    ``(sectors,)``; the trailing axes must match the grid.
+    ``(sectors,)``; the trailing axes must match the grid.  An external
+    field E.r is part of ``v_local``.
     """
     psi = np.asarray(psi, dtype=complex)
     grid.check_field(v_local)
 
-    v_eff = v_local
-    if efield is not None:
-        ef = np.asarray(efield, dtype=float)
-        if np.any(ef != 0.0):
-            v_eff = v_eff + sum(e * grid.coordinate(a) for a, e in enumerate(ef) if e != 0.0)
-
     out = -0.5 * laplacian(psi, grid)
 
     if cavity is None:
-        return out + v_eff * psi
+        return out + v_local * psi
 
     sector_axis = psi.ndim - grid.dim - 1
     if sector_axis < 0 or psi.shape[sector_axis] != cavity.n_sectors:
@@ -206,9 +200,7 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
             f"got shape {psi.shape}")
 
     lam_r = coupling_field(cavity, grid)
-    if mu != 0.0:
-        v_eff = v_eff + mu * lam_r
-    out += v_eff * psi
+    out += (v_local + mu * lam_r if mu != 0.0 else v_local) * psi
 
     # diagonal photon energy (n + 1/2) w per sector
     bshape = (1,) * sector_axis + (cavity.n_sectors,) + (1,) * grid.dim
@@ -275,8 +267,9 @@ class SparseHamiltonian:
     """The coupled one-body Hamiltonian: a static matrix plus a local potential.
 
     ``static`` comes from :func:`field_free_hamiltonian`; ``v_local`` is the
-    grid field added on every sector, V_KS + mu (lam.r) + E(t).r in the
-    terms of :func:`apply_hamiltonian`, whose result :meth:`apply` gives.
+    grid field added on every sector, V_KS + mu (lam.r) + E(t).r, so that
+    :meth:`apply` gives the result of :func:`apply_hamiltonian` with that
+    field as its local potential.
     The potential lives on the diagonal of a private copy of ``static``, so
     an apply is one sparse product and :meth:`set_potential` swaps the
     potential in place, without building a new matrix.
@@ -321,20 +314,17 @@ def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:
     return float(mu)
 
 
-def sector_weights(orbitals: OrbitalSet) -> np.ndarray:
-    """Occupation-weighted norm per sector, sum_m c_m <phi_mn|phi_mn>."""
-    dv = orbitals.grid.volume_element
-    axes = tuple(range(2, orbitals.psi.ndim))
-    per = np.sum(orbitals.abs2(), axis=axes) * dv  # (m, n)
-    return orbitals.occupations @ per
-
-
 def photon_occupations(orbitals: OrbitalSet) -> np.ndarray:
-    """Photon number probabilities P_n (non-negative, summing to one)."""
+    """Photon number probabilities P_n = sum_m c_m <phi_mn|phi_mn> / N_e.
+
+    They are non-negative and sum to one.
+    """
     n_el = orbitals.n_electrons
     if n_el <= 0:
         raise UsageError("photon occupations undefined for zero electrons")
-    return sector_weights(orbitals) / n_el
+    axes = tuple(range(2, orbitals.psi.ndim))
+    per = np.sum(orbitals.abs2(), axis=axes) * orbitals.grid.volume_element  # (m, n)
+    return (orbitals.occupations @ per) / n_el
 
 
 def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:

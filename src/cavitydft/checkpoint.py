@@ -1,9 +1,9 @@
 """Versioned binary checkpoints for orbital sets.
 
 Layout (little-endian throughout): an 8-byte magic string, a version
-integer, grid metadata (stencil order included) and cavity metadata, then
-the raw orbital, density, and occupation arrays in C order.  Round trips
-are bit-exact.
+integer, grid metadata (stencil order included), cavity metadata and the
+state record (orbital and sector counts, time, iteration, mu), then the
+occupation and orbital arrays in C order.  Round trips are bit-exact.
 """
 
 from __future__ import annotations

@@ -79,8 +79,6 @@ _KNOWN_KEYS = {
         "tol_density": (float, "L1 density convergence tolerance"),
         "mixing": (float, "linear density mixing in (0, 1]"),
         "minimizer": (str, "imaginary-time | conjugate-gradient"),
-        "fixed_step": (float, "imaginary-time step when the line search finds none"),
-        "sector_weights": (_floats, "initial Fock sector weights w_n"),
     },
     "prop": {
         "dt": (float, "time step"),
@@ -102,7 +100,6 @@ _KNOWN_KEYS = {
         "omega_max": (float, "frequency window end"),
         "omega_step": (float, "frequency resolution"),
         "peak_threshold": (float, "relative peak detection threshold"),
-        "hhg_window": (str, "hann | gaussian | none"),
     },
     "output": {
         "prefix": (str, "output file name prefix"),

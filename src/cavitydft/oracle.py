@@ -30,6 +30,12 @@ FLAVORS = ("bare", "mean-field-mu", "quadratic-dsi")
 
 _RESIDUAL_TOL = 1e-10
 
+# self-consistency of scf_ground_state: energy change between iterations,
+# linear density mixing, iteration budget
+_SCF_TOL = 1e-12
+_SCF_MIXING = 0.5
+_SCF_MAX_ITERATIONS = 400
+
 
 def kinetic_matrix(grid: Grid) -> sp.csr_matrix:
     """-1/2 d^2/dx^2 as a banded matrix with hard-wall truncation."""
@@ -131,14 +137,11 @@ class OracleGroundState:
     iterations: int
 
 
-def scf_ground_state(system: ElectronSystem, cavity: CavityMode, *,
-                     flavor: str = "mean-field-mu",
-                     tol: float = 1e-12, mixing: float = 0.5,
-                     max_iterations: int = 400) -> OracleGroundState:
+def scf_ground_state(system: ElectronSystem, cavity: CavityMode) -> OracleGroundState:
     """Self-consistent lowest state with one occupied orbital.
 
-    Replicates the mean-field flavor of the main code (restricted, the
-    single orbital holding all electrons) but solves each linearized
+    Replicates the ``mean-field-mu`` flavor of the main code (restricted,
+    the single orbital holding all electrons) but solves each linearized
     problem by exact diagonalization.  All mean-field inputs (mu, Hartree,
     XC) are iterated to a fixed point on the density.
     """
@@ -153,28 +156,28 @@ def scf_ground_state(system: ElectronSystem, cavity: CavityMode, *,
     density = Density(rho, grid, c)
     e_prev = None
     psi = None
-    for iteration in range(1, max_iterations + 1):
-        h = assemble(system, cavity, flavor=flavor, mu=mu,
+    for iteration in range(1, _SCF_MAX_ITERATIONS + 1):
+        h = assemble(system, cavity, mu=mu,
                      density=density if (system.use_hartree or system.use_xc) else None)
         eig, vec = ground_state(h)
         psi = vec.reshape(n_sec, -1) / np.sqrt(grid.h)  # normalize sum |psi|^2 h = 1
         rho_new = c * np.sum(np.abs(psi) ** 2, axis=0)
-        rho = rho_new if e_prev is None else (1.0 - mixing) * rho + mixing * rho_new
+        rho = rho_new if e_prev is None else (1.0 - _SCF_MIXING) * rho + _SCF_MIXING * rho_new
         density = Density(rho, grid, c)
         lam_x = _coupling_lambda_x(system, cavity)
-        mu_new = float(np.sum(lam_x * rho) * grid.h) if flavor == "mean-field-mu" else 0.0
-        energy = _total_energy(system, cavity, psi, c, density, mu_new, flavor)
-        if e_prev is not None and abs(energy - e_prev) < tol:
+        mu_new = float(np.sum(lam_x * rho) * grid.h)
+        energy = _total_energy(system, cavity, psi, c, density, mu_new)
+        if e_prev is not None and abs(energy - e_prev) < _SCF_TOL:
             pn = np.sum(np.abs(psi) ** 2, axis=1) * grid.h
             return OracleGroundState(energy=energy, eigenvalue=eig,
                                      occupations=pn, mu=mu_new, psi=psi,
                                      density=density, iterations=iteration)
         e_prev = energy
         mu = mu_new
-    raise ConvergenceError(f"oracle SCF did not converge in {max_iterations} iterations")
+    raise ConvergenceError(f"oracle SCF did not converge in {_SCF_MAX_ITERATIONS} iterations")
 
 
-def _total_energy(system, cavity, psi, c, density, mu, flavor) -> float:
+def _total_energy(system, cavity, psi, c, density, mu) -> float:
     """Energy from explicit operator quadratic forms (photon counted once)."""
     grid = system.grid
     h = grid.h
@@ -200,10 +203,7 @@ def _total_energy(system, cavity, psi, c, density, mu, flavor) -> float:
         e_coup += 2.0 * pref * np.sqrt(n + 1.0) * cross
     e_coup *= c
 
-    if flavor == "quadratic-dsi":
-        e_dsi = c * float(np.sum(0.5 * lam_x**2 * np.sum(np.abs(psi) ** 2, axis=0)) * h)
-    else:
-        e_dsi = 0.5 * mu * mu
+    e_dsi = 0.5 * mu * mu
     return c * e_kin + e_ext + e_h + e_xc + e_photon + e_coup + e_dsi
 
 

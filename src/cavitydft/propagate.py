@@ -45,7 +45,7 @@ from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
 from .errors import ConfigurationError, PropagationAborted, StepSizeError
 from .grid import dipole_vector
 from .potentials import assemble_ks
-from .scf import HamiltonianContext, ScfState, orbital_eigenvalues, total_energy
+from .scf import ScfState, orbital_eigenvalues, total_energy
 from .timeseries import TimeSeries, axis_name
 
 PROPAGATOR_ORDERS = (2, 3, 4, 5)
@@ -79,11 +79,6 @@ class LaserPulse:
                 * np.sin(np.pi * t / (6.0 * self.envelope_time)) ** 2
                 * np.sin(self.carrier * t))
 
-    def vector(self, t: float, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        out[self.axis] = self.field(t)
-        return out
-
 
 @dataclass
 class PropConfig:
@@ -110,11 +105,11 @@ class PropConfig:
             raise ConfigurationError("sampling stride must be >= 1")
 
 
-def taylor_step(psi: np.ndarray, ctx: HamiltonianContext | SparseHamiltonian, dt: float,
+def taylor_step(psi: np.ndarray, apply: Callable, dt: float,
                 order: int = 4, shifts: np.ndarray | None = None) -> np.ndarray:
     """One Taylor step sum_j (-i dt)^j / j! H^j acting on an orbital stack.
 
-    ``ctx`` is any Hamiltonian with an ``apply`` method.  ``shifts`` holds
+    ``apply(psi)`` returns H psi as a new array.  ``shifts`` holds
     one real energy per leading orbital; when given, the expansion uses
     H - shift and the exact phase exp(-i shift dt) is restored afterwards.
     """
@@ -125,7 +120,7 @@ def taylor_step(psi: np.ndarray, ctx: HamiltonianContext | SparseHamiltonian, dt
     out = psi.copy()
     for j in range(1, order + 1):
         # apply returns a new array, so the next term is formed in place
-        h_term = ctx.apply(term)
+        h_term = apply(term)
         if shifts is not None:
             h_term -= shifts * term
         h_term *= -1j * dt / j
@@ -248,7 +243,7 @@ def _drive(state: ScfState, cfg: PropConfig,
     pot = assemble_ks(density, system, v_ion=v_ion)
     v_local = pot.total + scheme.photon_potential(density)
     hamiltonian = SparseHamiltonian(field_free_hamiltonian(grid, fock), v_local)
-    shifts = orbital_eigenvalues(orbitals, hamiltonian)
+    shifts = orbital_eigenvalues(orbitals, hamiltonian.apply)
 
     norms_ref = orbitals.norms()
     t = 0.0
@@ -260,8 +255,9 @@ def _drive(state: ScfState, cfg: PropConfig,
             v_step = v_local + (cfg.laser.field(t + 0.5 * cfg.dt)
                                 * grid.coordinate(cfg.laser.axis))
         hamiltonian.set_potential(v_step)
-        stepped = OrbitalSet(taylor_step(orbitals.psi, hamiltonian, cfg.dt, cfg.order, shifts),
-                             orbitals.occupations, grid)
+        stepped = OrbitalSet(
+            taylor_step(orbitals.psi, hamiltonian.apply, cfg.dt, cfg.order, shifts),
+            orbitals.occupations, grid)
         norms = stepped.norms()
         # a non-finite orbital value makes its norm non-finite
         if not np.all(np.isfinite(norms)):

@@ -14,6 +14,7 @@ mode at larger couplings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,6 +30,8 @@ MINIMIZERS = ("imaginary-time", "conjugate-gradient")
 
 # deterministic fallback amplitude for linearly dependent orbital seeds
 _PERTURB_AMPLITUDE = 1e-6
+# imaginary-time step of an orbital whose line search finds no minimum
+_FALLBACK_STEP = 0.1
 # two projection sweeps reach orthogonality to working precision ("twice is
 # enough", Parlett 1980); linearly dependent inputs are perturbed at most twice
 _GS_PASSES = 2
@@ -44,8 +47,6 @@ class ScfConfig:
     tol_density: float = 1e-6
     mixing: float = 0.3
     minimizer: str = "imaginary-time"
-    fixed_step: float = 0.1
-    sector_weights: tuple | None = None
 
     def __post_init__(self):
         if self.tol_energy <= 0 or self.tol_density <= 0:
@@ -55,11 +56,6 @@ class ScfConfig:
         if self.minimizer not in MINIMIZERS:
             raise ConfigurationError(
                 f"unknown minimizer {self.minimizer!r}; choose one of {MINIMIZERS}")
-        if self.sector_weights is not None:
-            w = np.asarray(self.sector_weights, dtype=float)
-            if np.any(w < 0) or not np.any(w > 0):
-                raise ConfigurationError("sector weights must be non-negative, not all zero")
-            self.sector_weights = tuple(float(x) for x in w)
 
 
 @dataclass
@@ -81,19 +77,6 @@ class EnergyDecomposition:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
-class HamiltonianContext:
-    """Frozen mean-field Hamiltonian, reusable across minimizer applies."""
-
-    grid: object
-    cavity: CavityMode | None
-    v_local: np.ndarray
-    mu: float
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return apply_hamiltonian(psi, self.v_local, self.mu, self.cavity, self.grid)
 
 
 @dataclass
@@ -129,7 +112,7 @@ class ScfState:
         return bool(np.any(np.diff(p) > 0.0))
 
 
-def default_sector_weights(n_sectors: int) -> np.ndarray:
+def seed_sector_amplitudes(n_sectors: int) -> np.ndarray:
     """Geometric decay (1, 0.1, 0.01, ...) favoring the low photon sectors."""
     return 0.1 ** np.arange(n_sectors, dtype=float)
 
@@ -155,22 +138,14 @@ def _checkerboard(grid) -> np.ndarray:
     return pattern
 
 
-def init_orbitals(system: ElectronSystem, cavity: CavityMode | None,
-                  cfg: ScfConfig) -> OrbitalSet:
+def init_orbitals(system: ElectronSystem, cavity: CavityMode | None) -> OrbitalSet:
     """Gaussian atomic-like seeds, sector-weighted and orthonormalized."""
     grid = system.grid
     n_orb = system.n_orbitals
     if n_orb > grid.n_points:
         raise ConfigurationError(
             f"{n_orb} orbitals cannot be represented on {grid.n_points} grid points")
-    n_sectors = cavity.n_sectors if cavity is not None else 1
-    weights = (np.asarray(cfg.sector_weights, dtype=float)
-               if cfg.sector_weights is not None else default_sector_weights(n_sectors))
-    if len(weights) < n_sectors:
-        weights = np.concatenate([weights, np.zeros(n_sectors - len(weights))])
-    weights = weights[:n_sectors]
-    if not np.any(weights > 0):
-        raise ConfigurationError("initial sector weights vanish on every retained sector")
+    amplitudes = seed_sector_amplitudes(cavity.n_sectors if cavity is not None else 1)
 
     centers = [np.atleast_1d(ion.position) for ion in system.ions]
     if not centers:
@@ -196,7 +171,7 @@ def init_orbitals(system: ElectronSystem, cavity: CavityMode | None,
                 poly = poly * d ** pw[axis]
         seeds[m] = poly * np.exp(-r2 / (2.0 * width**2))
 
-    psi = seeds[:, None, ...] * weights.reshape((1, -1) + (1,) * grid.dim)
+    psi = seeds[:, None, ...] * amplitudes.reshape((1, -1) + (1,) * grid.dim)
     orbitals = OrbitalSet(psi.astype(complex), system.occupations, grid)
     return gram_schmidt_sectorwise(orbitals)
 
@@ -246,20 +221,21 @@ def gram_schmidt_sectorwise(orbitals: OrbitalSet) -> OrbitalSet:
 
 
 class _Minimizer:
-    """Per-orbital update strategies for one frozen-Hamiltonian step."""
+    """Per-orbital update strategies for one frozen-Hamiltonian step.
 
-    def __init__(self, kind: str, fixed_step: float, n_orbitals: int):
+    :meth:`step` takes the Hamiltonian as a callable ``apply(psi) -> H psi``.
+    """
+
+    def __init__(self, kind: str, n_orbitals: int):
         self.kind = kind
-        self.fixed_step = fixed_step
         self.prev_grad = [None] * n_orbitals
         self.prev_dir = [None] * n_orbitals
 
-    def step(self, orbitals: OrbitalSet, ctx: HamiltonianContext) -> np.ndarray:
-        psi = orbitals.psi
-        h_psi = ctx.apply(psi)
+    def step(self, orbitals: OrbitalSet, apply: Callable) -> np.ndarray:
+        h_psi = apply(orbitals.psi)
         if self.kind == "imaginary-time":
-            return self._imaginary_time(orbitals, h_psi, ctx)
-        return self._conjugate_gradient(orbitals, h_psi, ctx)
+            return self._imaginary_time(orbitals, h_psi, apply)
+        return self._conjugate_gradient(orbitals, h_psi, apply)
 
     @staticmethod
     def _moments(orbitals, h_psi, h2_psi=None):
@@ -274,11 +250,11 @@ class _Minimizer:
         m3 = np.einsum("mp,mp->m", w.conj(), hw).real * dv
         return m1, m2, m3
 
-    def _imaginary_time(self, orbitals, h_psi, ctx):
+    def _imaginary_time(self, orbitals, h_psi, apply):
         # minimize the Rayleigh quotient of (1 - tau H) phi over tau per orbital
-        h2_psi = ctx.apply(h_psi)
+        h2_psi = apply(h_psi)
         m1, m2, m3 = self._moments(orbitals, h_psi, h2_psi)
-        taus = np.full(orbitals.n_orbitals, self.fixed_step)
+        taus = np.full(orbitals.n_orbitals, _FALLBACK_STEP)
         for m in range(orbitals.n_orbitals):
             a = m2[m] ** 2 - m1[m] * m3[m]
             b = m3[m] - m1[m] * m2[m]
@@ -306,7 +282,7 @@ class _Minimizer:
         shape = (-1,) + (1,) * (orbitals.psi.ndim - 1)
         return orbitals.psi - taus.reshape(shape) * h_psi
 
-    def _conjugate_gradient(self, orbitals, h_psi, ctx):
+    def _conjugate_gradient(self, orbitals, h_psi, apply):
         dv = orbitals.grid.volume_element
         psi = orbitals.psi
         new = np.empty_like(psi)
@@ -327,7 +303,7 @@ class _Minimizer:
             self.prev_dir[m] = d
             dn = np.sqrt(np.vdot(d, d).real * dv)
             dirs[m] = d / dn if dn > 1e-150 else 0.0 * d
-        h_d = ctx.apply(dirs)
+        h_d = apply(dirs)
         for m in range(orbitals.n_orbitals):
             if not np.any(dirs[m]):
                 new[m] = psi[m]
@@ -394,9 +370,9 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
     return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, e_photon, e_coup, e_dsi)
 
 
-def orbital_eigenvalues(orbitals: OrbitalSet, ctx: HamiltonianContext) -> np.ndarray:
-    """Expectation values <Phi_m|H|Phi_m> under the frozen Hamiltonian."""
-    h_psi = ctx.apply(orbitals.psi)
+def orbital_eigenvalues(orbitals: OrbitalSet, apply: Callable) -> np.ndarray:
+    """Expectation values <Phi_m|H|Phi_m> of the Hamiltonian ``apply(psi) -> H psi``."""
+    h_psi = apply(orbitals.psi)
     dv = orbitals.grid.volume_element
     flat = orbitals.psi.reshape(orbitals.n_orbitals, -1)
     w = h_psi.reshape(orbitals.n_orbitals, -1)
@@ -442,10 +418,10 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     grid = system.grid
     v_ion = external_potential(system)
     orbitals = initial_orbitals if initial_orbitals is not None else init_orbitals(
-        system, cavity, cfg)
+        system, cavity)
     orbitals = gram_schmidt_sectorwise(orbitals)
 
-    minimizer = _Minimizer(cfg.minimizer, cfg.fixed_step, orbitals.n_orbitals)
+    minimizer = _Minimizer(cfg.minimizer, orbitals.n_orbitals)
     rho_in = electron_density(orbitals).values
     mixing = cfg.mixing
     energy_prev = None
@@ -463,9 +439,10 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         density_in = Density(rho_in, grid, system.n_electrons)
         pot = assemble_ks(density_in, system, v_ion=v_ion)
         mu = mean_dipole_mu(density_in, cavity)
-        ctx = HamiltonianContext(grid, cavity, pot.total, mu)
-        orbitals = gram_schmidt_sectorwise(
-            OrbitalSet(minimizer.step(orbitals, ctx), orbitals.occupations, grid))
+        # resolved in this module at each call, where bench/tracer.py wraps it
+        stepped = minimizer.step(
+            orbitals, lambda psi: apply_hamiltonian(psi, pot.total, mu, cavity, grid))
+        orbitals = gram_schmidt_sectorwise(OrbitalSet(stepped, orbitals.occupations, grid))
 
         density_out = electron_density(orbitals)
         rho_out = density_out.values

@@ -8,7 +8,7 @@ imaginary part yields the photo-absorption cross section
 
 The transform uses exp(+i w t) together with a kick that boosts momentum
 by +k, which makes Im alpha (and hence sigma) non-negative at resonances.
-High-harmonic spectra are the windowed transform of the dipole
+High-harmonic spectra are the Hann-windowed transform of the dipole
 acceleration, obtained by centered second differences of D(t).
 """
 
@@ -42,7 +42,6 @@ class SpectrumConfig:
     omega_step: float = 1e-3
     eta: float | None = None
     peak_threshold: float = 1e-3
-    hhg_window: str = "hann"
 
     def __post_init__(self):
         if self.omega_step <= 0:
@@ -51,8 +50,6 @@ class SpectrumConfig:
             raise ConfigurationError("omega_max must exceed omega_min")
         if self.eta is not None and self.eta < 0:
             raise ConfigurationError("damping eta must be >= 0")
-        if self.hhg_window not in ("hann", "gaussian", "none"):
-            raise ConfigurationError("hhg_window must be hann, gaussian, or none")
 
     def frequencies(self) -> np.ndarray:
         n = int(np.floor((self.omega_max - self.omega_min) / self.omega_step)) + 1
@@ -270,8 +267,9 @@ def hhg_spectrum(series: TimeSeries, cfg: SpectrumConfig, *,
                  axis: int | None = None) -> Spectrum:
     """Harmonic emission intensity I(w) = |transform of dD^2/dt^2|^2.
 
-    The result is reported on the harmonic-order axis w / w_L using the
-    laser carrier recorded in the series metadata.
+    The dipole acceleration is Hann-windowed and transformed without
+    damping.  The result is reported on the harmonic-order axis w / w_L
+    using the laser carrier recorded in the series metadata.
     """
     if "laser_carrier" not in series.meta:
         raise UsageError("series carries no laser metadata")
@@ -280,18 +278,10 @@ def hhg_spectrum(series: TimeSeries, cfg: SpectrumConfig, *,
         axis = axis_index(series.meta.get("laser_axis", "x"))
     d = series.dipole(axis) if dipole is None else np.asarray(dipole, float)
     t_acc, acc = dipole_acceleration(series.t, d)
-
-    if cfg.hhg_window == "hann":
-        acc = acc * np.hanning(len(acc))
-        eta = 0.0
-    elif cfg.hhg_window == "gaussian":
-        eta = cfg.damping_rate(t_acc[-1])
-    else:
-        eta = 0.0
     omega = cfg.frequencies()
-    amp = damped_transform(t_acc, acc, omega, eta, sign=-1)
+    amp = damped_transform(t_acc, acc * np.hanning(len(acc)), omega, 0.0, sign=-1)
     intensity = np.abs(amp) ** 2
-    meta = {"laser_carrier": w_l, "window": cfg.hhg_window,
+    meta = {"laser_carrier": w_l, "window": "hann",
             "response_axis": axis_name(axis)}
     return Spectrum(omega=omega / w_l, sigma=intensity,
                     peaks=find_peaks(omega / w_l, intensity, cfg.peak_threshold),

@@ -157,15 +157,6 @@ class TestApplyHamiltonian:
         with pytest.raises(UsageError):
             apply_hamiltonian(psi, np.zeros(grid.shape), 0.0, cavity, grid)
 
-    def test_external_field_adds_linear_potential(self, grid, cavity):
-        rng = np.random.default_rng(2)
-        psi = rng.standard_normal((3,) + grid.shape) * (1 + 0j)
-        base = apply_hamiltonian(psi, np.zeros(grid.shape), 0.0, cavity, grid)
-        kicked = apply_hamiltonian(psi, np.zeros(grid.shape), 0.0, cavity, grid,
-                                   efield=np.array([0.02]))
-        x = grid.coordinate(0)
-        assert np.allclose(kicked - base, 0.02 * x * psi, atol=1e-14)
-
 
 class TestSparseHamiltonian:
     @pytest.mark.parametrize("order", [3, 5, 7, 9])
@@ -182,12 +173,9 @@ class TestSparseHamiltonian:
                + 1j * rng.standard_normal((2, n_sec) + shape))
         v = rng.standard_normal(shape)
         mu = 0.0 if cav is None else 0.37
-        efield = 0.02 * np.arange(1.0, grid.dim + 1.0)
-        ref = apply_hamiltonian(psi, v, mu, cav, grid, efield=efield)
+        ref = apply_hamiltonian(psi, v, mu, cav, grid)
 
-        v_local = v + sum(e * grid.coordinate(a) for a, e in enumerate(efield))
-        if cav is not None:
-            v_local = v_local + mu * coupling_field(cav, grid)
+        v_local = v if cav is None else v + mu * coupling_field(cav, grid)
         out = SparseHamiltonian(field_free_hamiltonian(grid, cav), v_local).apply(psi)
         assert out.shape == psi.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))

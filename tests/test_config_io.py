@@ -143,7 +143,11 @@ n_fock = 1
         ("scf", "inner_steps = 1", "inner_steps"),
         ("scf", "fd_order = 5", "fd_order"),  # the stencil order is a [system] key
         ("prop", "dt = 0.05\nn_steps = 10\nenergy_shift = no", "energy_shift"),
-    ], ids=["inner-steps", "scf-fd-order", "energy-shift"])
+        ("scf", "fixed_step = 0.1", "fixed_step"),
+        ("scf", "sector_weights = 1 0.1", "sector_weights"),
+        ("spectra", "hhg_window = hann", "hhg_window"),
+    ], ids=["inner-steps", "scf-fd-order", "energy-shift", "fixed-step", "sector-weights",
+            "hhg-window"])
     def test_removed_keys_rejected(self, tmp_path, section, lines, key):
         with pytest.raises(ConfigurationError) as err:
             parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\n{lines}\n"))
@@ -427,6 +431,33 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert list(scratch.iterdir()) == []
+
+    @pytest.mark.parametrize("report_ev", [False, True], ids=["atomic-units", "report-ev"])
+    def test_report_ev_columns(self, tmp_path, report_ev):
+        t = np.arange(400) * 0.1
+        series = tmp_path / "ts.tsv"
+        TimeSeries(columns={"t": t, "Dx": 1e-3 * np.sin(0.3 * t) + 1e-4 * np.sin(0.9 * t)},
+                   meta={"kick_strength": 1e-3, "kick_axis": "x",
+                         "laser_carrier": 0.3, "laser_axis": "x"}).write(series)
+        text = MINIMAL + "\n[spectra]\nomega_max = 1.2\nomega_step = 0.01\n"
+        if report_ev:
+            text += "\n[output]\nreport_ev = yes\n"
+        cfg = write(tmp_path, text)
+        tables = {}
+        for command in ("spectrum", "hhg"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path),
+                         "--series", str(series)]) == 0
+            lines = [ln for ln in (tmp_path / f"run_{command}.tsv").read_text().splitlines()
+                     if not ln.startswith("#")]
+            rows = np.array([[float(v) for v in ln.split("\t")] for ln in lines[1:]])
+            tables[command] = dict(zip(lines[0].split("\t"), rows.T))
+        spectrum, hhg = tables["spectrum"], tables["hhg"]
+        if not report_ev:
+            assert "omega_eV" not in spectrum and "omega_eV" not in hhg
+            return
+        # spectrum: w in eV; hhg: harmonic order times w_L, in eV
+        assert np.array_equal(spectrum["omega_eV"], spectrum["omega"] * 27.211386245988)
+        assert np.array_equal(hhg["omega_eV"], hhg["omega"] * 0.3 * 27.211386245988)
 
     def test_bad_config_exit_code(self, cli_dir):
         (cli_dir / "bad.cfg").write_text("[system]\ndim = 5\n")

@@ -111,9 +111,7 @@ class TestHartree3D:
             e[i] = 1.0
             cols.append(-laplacian(e.reshape(g.shape), g).ravel())
         a_mat = sp.csr_matrix(np.column_stack(cols))
-        from cavitydft.potentials import _multipole_boundary, laplacian_padded
-        vb = _multipole_boundary(rho, g)
-        b = 4 * np.pi * rho + laplacian_padded(vb, g)
+        b = 4 * np.pi * rho + potentials._boundary_source(rho, g)
         v_direct = sla.spsolve(a_mat.tocsc(), b.ravel()).reshape(g.shape)
         assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
 
@@ -139,8 +137,7 @@ class TestHartree3D:
         rho /= integrate(rho, g)
         v_cg = hartree_potential_3d(rho, g, tol=1e-10)
 
-        vb = potentials._multipole_boundary(rho, g)
-        b = 4 * np.pi * rho + potentials.laplacian_padded(vb, g)
+        b = 4 * np.pi * rho + potentials._boundary_source(rho, g)
         v_direct = sla.spsolve(self.sparse_neg_laplacian(g), b.ravel()).reshape(g.shape)
         assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
 

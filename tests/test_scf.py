@@ -6,8 +6,8 @@ from cavitydft.cavity import (CavityMode, OrbitalSet, electron_density, mean_dip
 from cavitydft.errors import ConfigurationError, ConvergenceError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
-from cavitydft.scf import (ScfConfig, default_sector_weights, gram_schmidt_sectorwise,
-                           init_orbitals, scf_solve, total_energy)
+from cavitydft.scf import (ScfConfig, gram_schmidt_sectorwise, init_orbitals, scf_solve,
+                           seed_sector_amplitudes, total_energy)
 
 
 @pytest.fixture(scope="module")
@@ -38,29 +38,18 @@ class TestScfConfig:
         with pytest.raises(ConfigurationError):
             ScfConfig(minimizer="steepest-descent")
 
-    def test_bad_weights(self):
-        with pytest.raises(ConfigurationError):
-            ScfConfig(sector_weights=(0.0, 0.0))
-
     def test_default_weights_geometric(self):
-        w = default_sector_weights(4)
+        w = seed_sector_amplitudes(4)
         assert np.allclose(w, [1.0, 0.1, 0.01, 0.001])
 
 
 class TestInitOrbitals:
-    def test_sector0_only_weights(self, soft_atom):
-        cav = CavityMode(omega=0.1, coupling=(0.05,), n_fock=2)
-        cfg = ScfConfig(sector_weights=(1.0, 0.0, 0.0))
-        orbs = init_orbitals(soft_atom, cav, cfg)
-        assert np.all(orbs.psi[:, 1:] == 0.0)
-        assert np.allclose(photon_occupations(orbs), [1.0, 0.0, 0.0])
-
     def test_orthonormal_multi_orbital(self, atom_grid):
         sys_ = ElectronSystem(grid=atom_grid,
                               ions=[Ion(2.0, (-1.0,), 1.0), Ion(2.0, (1.0,), 1.0)],
                               occupations=[2.0, 2.0, 1.0])
         cav = CavityMode(omega=0.1, coupling=(0.05,), n_fock=1)
-        orbs = init_orbitals(sys_, cav, ScfConfig())
+        orbs = init_orbitals(sys_, cav)
         s = orbs.overlap_matrix()
         assert np.max(np.abs(s - np.eye(3))) < 1e-10
 
@@ -69,7 +58,7 @@ class TestInitOrbitals:
         sys_ = ElectronSystem(grid=g, ions=[], occupations=np.ones(8),
                               harmonic_omega=1.0)
         with pytest.raises(ConfigurationError):
-            init_orbitals(sys_, None, ScfConfig())
+            init_orbitals(sys_, None)
 
 
 class TestGramSchmidt:
@@ -271,7 +260,7 @@ class TestScfSolve:
                               use_hartree=False, use_xc=False, harmonic_omega=0.5)
         cav = CavityMode(omega=0.08, coupling=(0.0,), n_fock=1)
         state = scf_solve(sys_, cav,
-                          ScfConfig(minimizer=minimizer, fixed_step=0.05,
+                          ScfConfig(minimizer=minimizer,
                                     tol_energy=1e-9, tol_density=1e-7,
                                     max_iterations=6000))
         assert state.energy.total == pytest.approx(0.29, abs=1e-5)
@@ -296,7 +285,7 @@ class TestTotalEnergy:
         ions = [Ion(1.0, (x,) + (0.0,) * (g.dim - 1), 1.0) for x in (-1.0, 1.0)]
         system = ElectronSystem(grid=g, ions=ions, occupations=[2.0])
         cav = CavityMode(omega=0.1, coupling=(0.05,) + (0.0,) * (g.dim - 1), n_fock=1)
-        seed = init_orbitals(system, cav, ScfConfig())
+        seed = init_orbitals(system, cav)
         rng = np.random.default_rng(4)
         orbs = gram_schmidt_sectorwise(OrbitalSet(
             seed.psi + 0.05 * rng.standard_normal(seed.psi.shape), [2.0], g))

@@ -29,8 +29,6 @@ class TestSpectrumConfig:
             SpectrumConfig(omega_step=-1.0)
         with pytest.raises(ConfigurationError):
             SpectrumConfig(omega_min=1.0, omega_max=0.5)
-        with pytest.raises(ConfigurationError):
-            SpectrumConfig(hhg_window="kaiser")
 
     def test_auto_damping_rule(self):
         cfg = SpectrumConfig()
