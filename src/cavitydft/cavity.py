@@ -354,7 +354,7 @@ def electron_density(orbitals: OrbitalSet) -> Density:
     """Total density rho = sum_n p_n."""
     occ = orbitals.occupations.reshape((-1, 1) + (1,) * orbitals.grid.dim)
     rho = np.sum(occ * orbitals.abs2(), axis=(0, 1))
-    return Density(rho, orbitals.grid, orbitals.n_electrons)
+    return Density(rho, orbitals.grid)
 
 
 def sector_dipoles(orbitals: OrbitalSet) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Versioned binary checkpoints for orbital sets.
+"""Versioned binary checkpoints: orbitals, their grid and their cavity.
 
-Layout (little-endian throughout): an 8-byte magic string, a version
-integer, grid metadata (stencil order included), cavity metadata and the
-state record (orbital and sector counts, time, iteration, mu), then the
+That is what ``propagate`` reads back; the command line checks the grid and
+the cavity against the run configuration.  Layout (little-endian throughout):
+an 8-byte magic string, a version integer, grid metadata (stencil order
+included), cavity metadata, the orbital and sector counts, then the
 occupation and orbital arrays in C order.  Round trips are bit-exact.
 """
 
@@ -18,23 +19,20 @@ from .errors import UsageError
 from .grid import Grid
 
 MAGIC = b"CVDFTCHK"
-VERSION = 2
+VERSION = 3
 
 _HEAD = struct.Struct("<8sI")
 _GEOM = struct.Struct("<Id3qI")         # dim, h, shape (padded to 3), stencil order
 _CAV = struct.Struct("<Bd3dI")          # has_cavity, omega, lambda (padded), n_fock
-_STATE = struct.Struct("<IIdQd")        # n_orbitals, n_sectors, time, iteration, mu
+_STATE = struct.Struct("<II")           # n_orbitals, n_sectors
 
 
 @dataclass
 class Checkpoint:
-    """Snapshot of an orbital set plus enough metadata to resume."""
+    """An orbital set and the cavity it belongs to."""
 
     orbitals: OrbitalSet
     cavity: CavityMode | None
-    mu: float = 0.0
-    time: float = 0.0
-    iteration: int = 0
 
 
 def save_checkpoint(path, chk: Checkpoint) -> None:
@@ -50,8 +48,7 @@ def save_checkpoint(path, chk: Checkpoint) -> None:
             chk.cavity.omega if chk.cavity is not None else 0.0,
             *lam3[:3],
             chk.cavity.n_fock if chk.cavity is not None else 0))
-        fh.write(_STATE.pack(orb.n_orbitals, orb.n_sectors, chk.time,
-                             chk.iteration, chk.mu))
+        fh.write(_STATE.pack(orb.n_orbitals, orb.n_sectors))
         fh.write(np.ascontiguousarray(orb.occupations, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(orb.psi, dtype="<c16").tobytes())
 
@@ -70,11 +67,9 @@ def load_checkpoint(path) -> Checkpoint:
         if has_cav:
             cavity = CavityMode(omega=omega, coupling=tuple([lx, ly, lz][:dim]),
                                 n_fock=n_fock)
-        n_orb, n_sec, time, iteration, mu = _STATE.unpack(fh.read(_STATE.size))
+        n_orb, n_sec = _STATE.unpack(fh.read(_STATE.size))
         occ = np.frombuffer(fh.read(8 * n_orb), dtype="<f8").copy()
         count = n_orb * n_sec * grid.n_points
         psi = np.frombuffer(fh.read(16 * count), dtype="<c16").copy()
         psi = psi.reshape((n_orb, n_sec) + grid.shape)
-    orbitals = OrbitalSet(psi, occ, grid)
-    return Checkpoint(orbitals=orbitals, cavity=cavity, mu=mu, time=time,
-                      iteration=iteration)
+    return Checkpoint(orbitals=OrbitalSet(psi, occ, grid), cavity=cavity)

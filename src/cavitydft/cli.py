@@ -1,9 +1,13 @@
 """Command-line runner: scf, propagate, spectrum, hhg, qedft, oracle, validate.
 
-Every subcommand reads one configuration file, writes tab-separated text
-outputs with '#'-metadata headers (including the full config echo), and
-exits non-zero with a machine-readable ``ERROR <kind>: message`` line on
-any module error.  Identical configs produce bit-identical outputs.
+Every subcommand reads one configuration file and exits non-zero with a
+machine-readable ``ERROR <kind>: message`` line on any module error.  Every
+text output is one ``write_table`` table whose metadata carries the config
+echo (``echoNNN = cfg <line>``); ``read_table`` reads each back.  The scf
+table holds ``iterations``, ``mu`` and every energy term, the oracle's golden
+table ``iterations``, ``energy``, ``eigenvalue`` and ``mu``, both with columns
+``n`` and ``P``.  ``propagate`` rejects a checkpoint whose grid or cavity
+differs from the configuration's.  Identical configs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
 from .errors import AnalysisError, CavityDftError, ConfigurationError, UsageError
 from .grid import inner_product, laplacian
-from .oracle import assemble, scf_ground_state, write_golden
+from .oracle import assemble, scf_ground_state
 from .potentials import assemble_ks
 from .propagate import propagate
 from .qedft import qedft_propagate
 from .scf import gram_schmidt_sectorwise, scf_solve, state_from_orbitals
 from .spectra import (cross_section, hhg_spectrum, polarizability,
                       rabi_splitting, sector_resolved_cross_sections)
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, write_table
 
 EV_PER_HARTREE = 27.211386245988
 
@@ -82,29 +86,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _series_meta(cfg: RunConfig) -> dict:
-    return {f"echo{index:03d}": line for index, line in enumerate(cfg.echo_lines())}
-
-
 def _cmd_scf(args, cfg: RunConfig, out: Path) -> int:
     state = scf_solve(cfg.system, cfg.cavity, cfg.scf, log=print)
     chk_path = out / f"{cfg.prefix}_scf.chk"
-    save_checkpoint(chk_path, Checkpoint(orbitals=state.orbitals, cavity=cfg.cavity,
-                                         mu=state.mu, iteration=state.iterations))
+    save_checkpoint(chk_path, Checkpoint(orbitals=state.orbitals, cavity=cfg.cavity))
     report = out / f"{cfg.prefix}_scf_energy.tsv"
-    with open(report, "w") as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        fh.write(f"# iterations = {state.iterations}\n")
-        fh.write("term\tvalue\n")
-        for key, val in state.energy.as_dict().items():
-            fh.write(f"{key}\t{val:.12e}\n")
-        for n, p in enumerate(state.occupations_photon):
-            fh.write(f"P{n}\t{p:.12e}\n")
+    energies = {key: float(val) for key, val in state.energy.as_dict().items()}
+    _write_occupations(report, {**cfg.echo(), "iterations": state.iterations,
+                                "mu": float(state.mu), **energies},
+                       state.occupations_photon)
     print(f"converged in {state.iterations} iterations, "
           f"E = {state.energy.total:.10f}")
     print(f"wrote {chk_path} and {report}")
     return 0
+
+
+def _write_occupations(path: Path, meta: dict, occupations: np.ndarray) -> None:
+    write_table(path, meta, {"n": np.arange(len(occupations)), "P": occupations})
 
 
 def _load_state(args, cfg: RunConfig, out: Path):
@@ -116,6 +114,9 @@ def _load_state(args, cfg: RunConfig, out: Path):
     if chk.orbitals.grid != cfg.system.grid:
         raise UsageError(f"checkpoint grid {chk.orbitals.grid} does not match "
                          f"the configuration's {cfg.system.grid}")
+    if chk.cavity != cfg.cavity:
+        raise UsageError(f"checkpoint cavity {chk.cavity} does not match "
+                         f"the configuration's {cfg.cavity}")
     return chk
 
 
@@ -126,10 +127,8 @@ def _cmd_propagate(args, cfg: RunConfig, out: Path) -> int:
     state = state_from_orbitals(cfg.system, cfg.cavity, chk.orbitals)
     series, final = propagate(state, cfg.prop)
     path = out / f"{cfg.prefix}_timeseries.tsv"
-    series.write(path, extra_meta=_series_meta(cfg))
-    save_checkpoint(out / f"{cfg.prefix}_prop.chk",
-                    Checkpoint(orbitals=final, cavity=cfg.cavity,
-                               mu=state.mu, time=series.t[-1]))
+    series.write(path, extra_meta=cfg.echo())
+    save_checkpoint(out / f"{cfg.prefix}_prop.chk", Checkpoint(orbitals=final, cavity=cfg.cavity))
     print(f"wrote {path} ({series.n_samples} samples)")
     return 0
 
@@ -142,7 +141,7 @@ def _cmd_qedft(args, cfg: RunConfig, out: Path) -> int:
     state = scf_solve(cfg.system, None, cfg.scf)
     series, _, _ = qedft_propagate(state, cfg.cavity, cfg.prop)
     path = out / f"{cfg.prefix}_qedft_timeseries.tsv"
-    series.write(path, extra_meta=_series_meta(cfg))
+    series.write(path, extra_meta=cfg.echo())
     print(f"wrote {path} ({series.n_samples} samples)")
     return 0
 
@@ -161,7 +160,7 @@ def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> int:
     alpha = polarizability(series, cfg.spectra)
     spec = cross_section([alpha], cfg.spectra)
     spec.alpha = alpha.alpha
-    spec.meta.update(_series_meta(cfg))
+    spec.meta.update(cfg.echo())
     spec_path = out / f"{cfg.prefix}_spectrum.tsv"
     spec.write(spec_path, extra_columns=_spectrum_extras(cfg, spec.omega))
     print(f"wrote {spec_path}")
@@ -175,8 +174,8 @@ def _cmd_spectrum(args, cfg: RunConfig, out: Path) -> int:
     if series.n_sector_columns:
         sector_specs = sector_resolved_cross_sections(series, cfg.spectra)
         for sp in sector_specs:
-            p = out / f"{cfg.prefix}_spectrum_sector{sp.meta['sector']}.tsv"
-            sp.write(p)
+            sp.meta.update(cfg.echo())
+            sp.write(out / f"{cfg.prefix}_spectrum_sector{sp.meta['sector']}.tsv")
         print(f"wrote {len(sector_specs)} sector-resolved spectra")
     return 0
 
@@ -187,7 +186,7 @@ def _cmd_hhg(args, cfg: RunConfig, out: Path) -> int:
         raise UsageError(f"no time series at {path}")
     series = TimeSeries.read(path)
     spec = hhg_spectrum(series, cfg.spectra)
-    spec.meta.update(_series_meta(cfg))
+    spec.meta.update(cfg.echo())
     hhg_path = out / f"{cfg.prefix}_hhg.tsv"
     extras = None
     if cfg.report_ev:
@@ -203,15 +202,10 @@ def _cmd_oracle(args, cfg: RunConfig, out: Path) -> int:
         raise ConfigurationError("oracle needs a [cavity] section")
     result = scf_ground_state(cfg.system, cfg.cavity)
     path = out / f"{cfg.prefix}_golden.tsv"
-    write_golden(path, {
-        "energy": result.energy,
-        "eigenvalue": result.eigenvalue,
-        "mu": result.mu,
-        "P": result.occupations,
-    }, meta={"iterations": result.iterations,
-             "omega": cfg.cavity.omega,
-             "lambda": " ".join(f"{c:g}" for c in cfg.cavity.lam),
-             "n_fock": cfg.cavity.n_fock})
+    _write_occupations(path, {**cfg.echo(), "iterations": result.iterations,
+                              "energy": float(result.energy),
+                              "eigenvalue": float(result.eigenvalue),
+                              "mu": float(result.mu)}, result.occupations)
     print(f"wrote {path}: E = {result.energy:.10f}")
     return 0
 
@@ -235,8 +229,7 @@ def _cmd_validate(args, cfg: RunConfig, out: Path) -> int:
         + 1j * rng.standard_normal((sectors,) + grid.shape)
     rho0 = np.abs(psi_a[0]) ** 2
     from .potentials import Density
-    density = Density(rho0 / max(rho0.sum() * grid.volume_element, 1e-30),
-                      grid, cfg.system.n_electrons)
+    density = Density(rho0 / max(rho0.sum() * grid.volume_element, 1e-30), grid)
     pot = assemble_ks(density, cfg.system)
     mu = mean_dipole_mu(density, cfg.cavity)
     ha = apply_hamiltonian(psi_a, pot.total, mu, cfg.cavity, grid)

@@ -83,7 +83,6 @@ _KNOWN_KEYS = {
     "prop": {
         "dt": (float, "time step"),
         "n_steps": (int, "number of steps"),
-        "order": (int, "Taylor expansion order"),
         "stride": (int, "observable sampling stride"),
         "kick_strength": (float, "delta-kick field strength"),
         "kick_axis": (axis_index, "delta-kick axis (x/y/z)"),
@@ -127,9 +126,10 @@ class RunConfig:
     report_ev: bool = False
     raw_text: str = ""
 
-    def echo_lines(self) -> list:
-        """Config echo (one '# cfg ...' line per stored line) for outputs."""
-        return [f"cfg {line}" for line in self.raw_text.splitlines() if line.strip()]
+    def echo(self) -> dict:
+        """Config echo for output metadata: ``echoNNN = cfg <line>`` per non-blank line."""
+        lines = [line for line in self.raw_text.splitlines() if line.strip()]
+        return {f"echo{index:03d}": f"cfg {line}" for index, line in enumerate(lines)}
 
 
 def _read_keys(parser: configparser.ConfigParser) -> tuple:

@@ -153,7 +153,7 @@ def scf_ground_state(system: ElectronSystem, cavity: CavityMode) -> OracleGround
 
     rho = np.zeros(grid.shape[0])
     mu = 0.0
-    density = Density(rho, grid, c)
+    density = Density(rho, grid)
     e_prev = None
     psi = None
     for iteration in range(1, _SCF_MAX_ITERATIONS + 1):
@@ -163,7 +163,7 @@ def scf_ground_state(system: ElectronSystem, cavity: CavityMode) -> OracleGround
         psi = vec.reshape(n_sec, -1) / np.sqrt(grid.h)  # normalize sum |psi|^2 h = 1
         rho_new = c * np.sum(np.abs(psi) ** 2, axis=0)
         rho = rho_new if e_prev is None else (1.0 - _SCF_MIXING) * rho + _SCF_MIXING * rho_new
-        density = Density(rho, grid, c)
+        density = Density(rho, grid)
         lam_x = _coupling_lambda_x(system, cavity)
         mu_new = float(np.sum(lam_x * rho) * grid.h)
         energy = _total_energy(system, cavity, psi, c, density, mu_new)
@@ -331,35 +331,3 @@ def exact_propagate(h_static: sp.spmatrix, psi0: np.ndarray, dt: float,
         result, rtol = tighter, rtol / 10.0
     raise ConvergenceError(
         f"oracle propagation did not stabilize below {check_tol}")
-
-
-def write_golden(path, values: dict, meta: dict | None = None) -> None:
-    """Plain-text golden value file: '#' metadata lines, then key\tvalue."""
-    with open(path, "w") as fh:
-        for key in sorted(meta or {}):
-            fh.write(f"# {key} = {meta[key]}\n")
-        for key in values:
-            val = values[key]
-            if np.ndim(val) == 0:
-                fh.write(f"{key}\t{float(val):.17g}\n")
-            else:
-                fh.write(key + "\t" + "\t".join(f"{v:.17g}" for v in np.ravel(val)) + "\n")
-
-
-def read_golden(path) -> tuple:
-    values, meta = {}, {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            parts = line.split("\t")
-            nums = [float(p) for p in parts[1:]]
-            values[parts[0]] = nums[0] if len(nums) == 1 else np.array(nums)
-    return values, meta

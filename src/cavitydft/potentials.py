@@ -58,11 +58,10 @@ class Ion:
 
 @dataclass
 class Density:
-    """Electron density on a grid together with its nominal electron count."""
+    """Electron density on a grid."""
 
     values: np.ndarray
     grid: Grid
-    n_electrons: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -48,7 +48,7 @@ from .potentials import assemble_ks
 from .scf import ScfState, orbital_eigenvalues, total_energy
 from .timeseries import TimeSeries, axis_name
 
-PROPAGATOR_ORDERS = (2, 3, 4, 5)
+TAYLOR_ORDER = 4
 
 
 @dataclass
@@ -86,7 +86,6 @@ class PropConfig:
 
     dt: float
     n_steps: int
-    order: int = 4
     stride: int = 1
     kick_strength: float = 0.0
     kick_axis: int = 0
@@ -98,16 +97,13 @@ class PropConfig:
             raise ConfigurationError("time step must be positive")
         if self.n_steps < 1:
             raise ConfigurationError("n_steps must be >= 1")
-        if self.order not in PROPAGATOR_ORDERS:
-            raise ConfigurationError(
-                f"propagator order must be one of {PROPAGATOR_ORDERS}")
         if self.stride < 1:
             raise ConfigurationError("sampling stride must be >= 1")
 
 
 def taylor_step(psi: np.ndarray, apply: Callable, dt: float,
-                order: int = 4, shifts: np.ndarray | None = None) -> np.ndarray:
-    """One Taylor step sum_j (-i dt)^j / j! H^j acting on an orbital stack.
+                shifts: np.ndarray | None = None) -> np.ndarray:
+    """One Taylor step sum_j (-i dt)^j / j! H^j, j <= TAYLOR_ORDER, on an orbital stack.
 
     ``apply(psi)`` returns H psi as a new array.  ``shifts`` holds
     one real energy per leading orbital; when given, the expansion uses
@@ -118,7 +114,7 @@ def taylor_step(psi: np.ndarray, apply: Callable, dt: float,
         shifts = np.asarray(shifts, dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
     term = psi
     out = psi.copy()
-    for j in range(1, order + 1):
+    for j in range(1, TAYLOR_ORDER + 1):
         # apply returns a new array, so the next term is formed in place
         h_term = apply(term)
         if shifts is not None:
@@ -196,7 +192,7 @@ def _drive(state: ScfState, cfg: PropConfig,
 
     def series() -> TimeSeries:
         meta = {"method": scheme.method, "dt": cfg.dt, "n_steps": cfg.n_steps,
-                "propagator_order": cfg.order, "stride": cfg.stride,
+                "propagator_order": TAYLOR_ORDER, "stride": cfg.stride,
                 "max_norm_drift": f"{max_drift:.3e}", "n_electrons": system.n_electrons}
         if cfg.kick_strength:
             meta["kick_strength"] = cfg.kick_strength
@@ -256,7 +252,7 @@ def _drive(state: ScfState, cfg: PropConfig,
                                 * grid.coordinate(cfg.laser.axis))
         hamiltonian.set_potential(v_step)
         stepped = OrbitalSet(
-            taylor_step(orbitals.psi, hamiltonian.apply, cfg.dt, cfg.order, shifts),
+            taylor_step(orbitals.psi, hamiltonian.apply, cfg.dt, shifts),
             orbitals.occupations, grid)
         norms = stepped.norms()
         # a non-finite orbital value makes its norm non-finite

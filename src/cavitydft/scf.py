@@ -91,7 +91,6 @@ class ScfState:
     system: ElectronSystem
     energy: EnergyDecomposition
     iterations: int
-    converged: bool
     history: list = field(default_factory=list)
 
     @property
@@ -401,7 +400,7 @@ def state_from_orbitals(system: ElectronSystem, cavity: CavityMode | None,
     energy = total_energy(system, orbitals, cavity, potential=pot)
     return ScfState(orbitals=orbitals, density=rho, potential=pot, mu=mu,
                     cavity=cavity, system=system, energy=energy,
-                    iterations=0, converged=True, history=[])
+                    iterations=0, history=[])
 
 
 def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
@@ -436,7 +435,7 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     iteration = 0
 
     for iteration in range(1, cfg.max_iterations + 1):
-        density_in = Density(rho_in, grid, system.n_electrons)
+        density_in = Density(rho_in, grid)
         pot = assemble_ks(density_in, system, v_ion=v_ion)
         mu = mean_dipole_mu(density_in, cavity)
         # resolved in this module at each call, where bench/tracer.py wraps it
@@ -515,4 +514,4 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
 
     return ScfState(orbitals=orbitals, density=density_out, potential=pot_out,
                     mu=mean_dipole_mu(density_out, cavity), cavity=cavity, system=system,
-                    energy=energy, iterations=iteration, converged=True, history=history)
+                    energy=energy, iterations=iteration, history=history)

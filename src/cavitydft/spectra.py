@@ -262,22 +262,19 @@ def dipole_acceleration(t: np.ndarray, d: np.ndarray) -> tuple:
     return t[1:-1], acc
 
 
-def hhg_spectrum(series: TimeSeries, cfg: SpectrumConfig, *,
-                 dipole: np.ndarray | None = None,
-                 axis: int | None = None) -> Spectrum:
+def hhg_spectrum(series: TimeSeries, cfg: SpectrumConfig) -> Spectrum:
     """Harmonic emission intensity I(w) = |transform of dD^2/dt^2|^2.
 
     The dipole acceleration is Hann-windowed and transformed without
-    damping.  The result is reported on the harmonic-order axis w / w_L
-    using the laser carrier recorded in the series metadata.
+    damping.  The dipole is taken along the recorded laser axis, and the
+    result is reported on the harmonic-order axis w / w_L using the laser
+    carrier recorded in the series metadata.
     """
     if "laser_carrier" not in series.meta:
         raise UsageError("series carries no laser metadata")
     w_l = float(series.meta["laser_carrier"])
-    if axis is None:
-        axis = axis_index(series.meta.get("laser_axis", "x"))
-    d = series.dipole(axis) if dipole is None else np.asarray(dipole, float)
-    t_acc, acc = dipole_acceleration(series.t, d)
+    axis = axis_index(series.meta.get("laser_axis", "x"))
+    t_acc, acc = dipole_acceleration(series.t, series.dipole(axis))
     omega = cfg.frequencies()
     amp = damped_transform(t_acc, acc * np.hanning(len(acc)), omega, 0.0, sign=-1)
     intensity = np.abs(amp) ** 2

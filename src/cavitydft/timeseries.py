@@ -1,8 +1,8 @@
-"""Uniformly sampled observable records and their tab-separated text format.
+"""Uniformly sampled observable records and the one tab-separated table format.
 
-Files carry '#'-prefixed ``key = value`` metadata lines, then a header row
-naming every column, then the samples; spectra (``write_table``) use the
-same layout.  All values are atomic units.
+Every text output is a :func:`write_table` table that :func:`read_table` reads
+back: '#' ``key = value`` metadata lines, '#' note lines, a header row naming
+every column, then the rows.  All values are atomic units.
 """
 
 from __future__ import annotations
@@ -73,38 +73,16 @@ class TimeSeries:
 
     @classmethod
     def read(cls, path) -> "TimeSeries":
-        meta = {}
-        names = None
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        key, _, value = body.partition("=")
-                        meta[key.strip()] = _parse_meta_value(value.strip())
-                    continue
-                if names is None:
-                    names = line.split("\t")
-                    continue
-                rows.append([float(tok) for tok in line.split("\t")])
-        if names is None or not rows:
-            raise UsageError(f"no tabular data found in {path}")
-        data = np.asarray(rows, dtype=float)
-        if data.shape[1] != len(names):
-            raise UsageError(f"column count mismatch in {path}")
-        columns = {name: data[:, i].copy() for i, name in enumerate(names)}
+        meta, columns = read_table(path)
         return cls(columns=columns, meta=meta)
 
 
 def write_table(path, meta: dict, columns: dict, notes=()) -> None:
     """Sorted '# key = value' lines, one '# note' line per note, then the table.
 
-    The table is a tab-separated header row of the column names and one
-    row per sample, every value written exactly (``%.17g``).
+    Metadata values are written with ``str``, which is exact for Python
+    floats.  The table is a tab-separated header row of the column names
+    and one row per sample, every value written exactly (``%.17g``).
     """
     with open(path, "w") as fh:
         for key in sorted(meta):
@@ -114,6 +92,37 @@ def write_table(path, meta: dict, columns: dict, notes=()) -> None:
         fh.write("\t".join(columns) + "\n")
         for row in zip(*columns.values()):
             fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def read_table(path) -> tuple[dict, dict]:
+    """The ``(meta, columns)`` that :func:`write_table` wrote to ``path``.
+
+    Numeric metadata values come back as ``int`` or ``float`` (exactly as
+    written), the rest as strings; note lines, which carry no ' = ', are
+    skipped.  Every column is a float array.
+    """
+    meta = {}
+    names = None
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                key, sep, value = line[1:].partition(" = ")
+                if sep:
+                    meta[key.strip()] = _parse_meta_value(value.strip())
+            elif names is None:
+                names = line.split("\t")
+            else:
+                rows.append([float(tok) for tok in line.split("\t")])
+    if names is None or not rows:
+        raise UsageError(f"no tabular data found in {path}")
+    if any(len(row) != len(names) for row in rows):
+        raise UsageError(f"column count mismatch in {path}")
+    data = np.asarray(rows, dtype=float)
+    return meta, {name: data[:, i].copy() for i, name in enumerate(names)}
 
 
 def _parse_meta_value(text: str):

@@ -265,8 +265,8 @@ def test_criterion_08_conservation_suite(atom_state):
     shifts = orbital_eigenvalues(atom_state.orbitals, hamiltonian(psi))
     reversal = 0.0
     for _ in range(20):
-        fwd = taylor_step(psi, hamiltonian(psi), 0.05, 4, shifts)
-        back = taylor_step(fwd, hamiltonian(fwd), -0.05, 4, shifts)
+        fwd = taylor_step(psi, hamiltonian(psi), 0.05, shifts)
+        back = taylor_step(fwd, hamiltonian(fwd), -0.05, shifts)
         reversal = max(reversal, float(np.max(np.abs(back - psi))))
         psi = fwd
     elapsed = time.time() - start

@@ -199,7 +199,7 @@ class TestSparseHamiltonian:
 class TestMeanDipole:
     def test_symmetric_density(self, grid, cavity):
         x = grid.coordinate(0)
-        rho = Density(np.exp(-x**2), grid, 1.0)
+        rho = Density(np.exp(-x**2), grid)
         assert abs(mean_dipole_mu(rho, cavity)) < 1e-14
 
     def test_shifted_gaussian(self):
@@ -208,12 +208,12 @@ class TestMeanDipole:
         rho = np.exp(-((x - 1.0) ** 2))
         rho = rho / integrate(rho, g) * 3.0  # three electrons
         cav = CavityMode(omega=0.1, coupling=(0.05,), n_fock=1)
-        mu = mean_dipole_mu(Density(rho, g, 3.0), cav)
+        mu = mean_dipole_mu(Density(rho, g), cav)
         assert mu == pytest.approx(0.05 * 3.0 * 1.0, abs=1e-8)
 
     def test_zero_coupling(self, grid):
         cav = CavityMode(omega=0.1, coupling=(0.0,), n_fock=1)
-        rho = Density(np.ones(grid.shape), grid, 1.0)
+        rho = Density(np.ones(grid.shape), grid)
         assert mean_dipole_mu(rho, cav) == 0.0
 
 

@@ -16,11 +16,11 @@ from cavitydft.cli import main
 from cavitydft.config import _KNOWN_KEYS, RunConfig, parse_config
 from cavitydft.errors import ConfigurationError, UsageError
 from cavitydft.grid import Grid
-from cavitydft.oracle import read_golden
+from cavitydft.oracle import scf_ground_state
 from cavitydft.propagate import PropConfig
-from cavitydft.scf import ScfConfig
+from cavitydft.scf import ScfConfig, scf_solve
 from cavitydft.spectra import Peak, Spectrum, SpectrumConfig
-from cavitydft.timeseries import TimeSeries
+from cavitydft.timeseries import TimeSeries, read_table
 
 MINIMAL = """
 [system]
@@ -146,8 +146,9 @@ n_fock = 1
         ("scf", "fixed_step = 0.1", "fixed_step"),
         ("scf", "sector_weights = 1 0.1", "sector_weights"),
         ("spectra", "hhg_window = hann", "hhg_window"),
+        ("prop", "dt = 0.05\nn_steps = 10\norder = 4", "order"),  # the Taylor order is fixed
     ], ids=["inner-steps", "scf-fd-order", "energy-shift", "fixed-step", "sector-weights",
-            "hhg-window"])
+            "hhg-window", "taylor-order"])
     def test_removed_keys_rejected(self, tmp_path, section, lines, key):
         with pytest.raises(ConfigurationError) as err:
             parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\n{lines}\n"))
@@ -241,14 +242,12 @@ class TestCheckpoint:
         orbs = self._orbitals()
         cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=2)
         path = tmp_path / "state.chk"
-        save_checkpoint(path, Checkpoint(orbitals=orbs, cavity=cav, mu=0.123,
-                                         time=4.5, iteration=77))
+        save_checkpoint(path, Checkpoint(orbitals=orbs, cavity=cav))
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.orbitals.psi, orbs.psi)
         assert np.array_equal(loaded.orbitals.occupations, orbs.occupations)
         assert loaded.orbitals.grid == orbs.grid
         assert loaded.cavity == cav
-        assert loaded.mu == 0.123 and loaded.time == 4.5 and loaded.iteration == 77
 
     def test_no_cavity_roundtrip(self, tmp_path):
         orbs = self._orbitals()
@@ -480,10 +479,9 @@ class TestCliStencilOrder:
 
     def test_oracle_matches_the_scf_energy(self, solved):
         assert main(["oracle", "--config", str(solved / "run.cfg"), "--out", str(solved)]) == 0
-        table = (solved / "atom_scf_energy.tsv").read_text().splitlines()
-        energy = dict(line.split("\t") for line in table if not line.startswith("#"))
-        golden, _ = read_golden(solved / "atom_golden.tsv")
-        assert abs(float(energy["total"]) - golden["energy"]) < 1e-8
+        energy, _ = read_table(solved / "atom_scf_energy.tsv")
+        golden, _ = read_table(solved / "atom_golden.tsv")
+        assert abs(energy["total"] - golden["energy"]) < 1e-8
 
     def test_checkpoint_at_another_order_rejected(self, solved, capsys):
         other = solved / "order5.cfg"
@@ -492,6 +490,94 @@ class TestCliStencilOrder:
         err = capsys.readouterr().err
         assert code == 2
         assert "ERROR UsageError" in err and "order=3" in err and "order=5" in err
+
+
+SMALL_CFG = """
+[system]
+dim = 1
+points = 41
+spacing = 0.4
+occupations = 1.0
+ions =
+    1.0  0.0  1.0
+
+[cavity]
+omega = 0.2
+lambda = 0.05
+n_fock = 1
+
+[scf]
+tol_energy = 1e-9
+tol_density = 1e-7
+
+[prop]
+dt = 0.05
+n_steps = 200
+kick_strength = 0.001
+
+[spectra]
+omega_min = 0.05
+omega_max = 1.0
+omega_step = 0.01
+
+[output]
+prefix = atom
+"""
+
+
+class TestCliTables:
+    """Every text output is one table that read_table reads back exactly."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tables")
+        (path / "run.cfg").write_text(SMALL_CFG)
+        assert main(["scf", "--config", str(path / "run.cfg"), "--out", str(path)]) == 0
+        return path
+
+    def test_every_output_reads_back(self, solved):
+        cfg_path = str(solved / "run.cfg")
+        for command in ("oracle", "propagate", "spectrum"):
+            assert main([command, "--config", cfg_path, "--out", str(solved)]) == 0
+        tables = {path.name: read_table(path) for path in sorted(solved.glob("*.tsv"))}
+        assert set(tables) == {"atom_scf_energy.tsv", "atom_golden.tsv", "atom_timeseries.tsv",
+                               "atom_spectrum.tsv", "atom_spectrum_sector0.tsv",
+                               "atom_spectrum_sector1.tsv"}
+        for meta, _ in tables.values():
+            assert meta["echo000"] == "cfg [system]"
+
+        cfg = parse_config(cfg_path)
+        state = scf_solve(cfg.system, cfg.cavity, cfg.scf)
+        meta, columns = tables["atom_scf_energy.tsv"]
+        assert meta["total"] == state.energy.total
+        assert {key: meta[key] for key in state.energy.as_dict()} == state.energy.as_dict()
+        assert meta["mu"] == state.mu and meta["iterations"] == state.iterations
+        assert np.array_equal(columns["n"], [0, 1])
+        assert np.array_equal(columns["P"], state.occupations_photon)
+
+        oracle = scf_ground_state(cfg.system, cfg.cavity)
+        meta, columns = tables["atom_golden.tsv"]
+        assert (meta["energy"], meta["eigenvalue"], meta["mu"], meta["iterations"]) == (
+            oracle.energy, oracle.eigenvalue, oracle.mu, oracle.iterations)
+        assert np.array_equal(columns["P"], oracle.occupations)
+        assert not {"omega", "lambda", "n_fock"} & set(meta)
+
+    @pytest.mark.parametrize("change", [
+        ("omega = 0.2", "omega = 0.9"),
+        ("lambda = 0.05", "lambda = 0.07"),
+        ("n_fock = 1", "n_fock = 2"),
+        ("[cavity]\nomega = 0.2\nlambda = 0.05\nn_fock = 1\n", ""),
+    ], ids=["omega", "lambda", "n_fock", "no-cavity"])
+    def test_checkpoint_of_another_cavity_rejected(self, solved, tmp_path, capsys, change):
+        other = tmp_path / "other.cfg"
+        other.write_text(SMALL_CFG.replace(*change))
+        code = main(["propagate", "--config", str(other), "--out", str(tmp_path),
+                     "--checkpoint", str(solved / "atom_scf.chk")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ERROR UsageError" in err and "checkpoint cavity" in err
+        assert "CavityMode(omega=0.2, coupling=(0.05,), n_fock=1)" in err
+        assert not (tmp_path / "atom_timeseries.tsv").exists()
 
 
 POLARITON_CFG = """

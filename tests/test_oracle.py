@@ -125,17 +125,6 @@ class TestOracleScf:
         assert res.occupations[0] > 0.99
         assert res.occupations.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_golden_roundtrip(self, tmp_path, well):
-        cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
-        res = oracle.scf_ground_state(well, cav)
-        path = tmp_path / "golden.tsv"
-        oracle.write_golden(path, {"energy": res.energy, "P": res.occupations},
-                            meta={"note": "test"})
-        values, meta = oracle.read_golden(path)
-        assert values["energy"] == res.energy
-        assert np.array_equal(values["P"], res.occupations)
-        assert meta["note"] == "test"
-
 
 class TestExactPropagate:
     def test_stationary_state_constant_observables(self, well):

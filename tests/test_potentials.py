@@ -51,7 +51,7 @@ class TestIonicPotential:
 
 class TestHartree1D:
     def test_zero_density(self, line):
-        rho = Density(np.zeros(line.shape), line, 0.0)
+        rho = Density(np.zeros(line.shape), line)
         assert np.all(hartree_potential(rho, softening=1.0) == 0.0)
 
     def test_delta_peak_matches_kernel(self):
@@ -172,7 +172,7 @@ class TestHartree3D:
 
 class TestLdaXc:
     def test_zero_density(self, line):
-        v, e = lda_xc(Density(np.zeros(line.shape), line, 0.0))
+        v, e = lda_xc(Density(np.zeros(line.shape), line))
         assert np.all(v == 0.0) and e == 0.0
 
     def test_uniform_exchange_energy_density(self):
@@ -180,7 +180,7 @@ class TestLdaXc:
         g = Grid((11,), 0.5)
         rs = 1.0
         rho_val = 3.0 / (4.0 * np.pi * rs**3)
-        rho = Density(np.full(g.shape, rho_val), g, rho_val * 11 * 0.5)
+        rho = Density(np.full(g.shape, rho_val), g)
         _, e_xc = lda_xc(rho)
         eps_x = -(3.0 / (4.0 * np.pi)) * (9.0 * np.pi / 4.0) ** (1.0 / 3.0) / rs
         # pull the correlation part off with the published fit at r_s = 1
@@ -196,16 +196,16 @@ class TestLdaXc:
         rho0 = (1.0 + 0.3 * np.sin(x)) * np.exp(-(x**2) / 8.0) * 0.4
         drho = np.exp(-((x - 1.0) ** 2)) * rng.uniform(0.5, 1.5)
         eps = 1e-6
-        v, _ = lda_xc(Density(rho0, line, 1.0))
-        _, e_plus = lda_xc(Density(rho0 + eps * drho, line, 1.0))
-        _, e_minus = lda_xc(Density(rho0 - eps * drho, line, 1.0))
+        v, _ = lda_xc(Density(rho0, line))
+        _, e_plus = lda_xc(Density(rho0 + eps * drho, line))
+        _, e_minus = lda_xc(Density(rho0 - eps * drho, line))
         fd = (e_plus - e_minus) / (2 * eps)
         direct = float(np.sum(v * drho)) * line.h
         assert fd == pytest.approx(direct, rel=1e-5)
 
     def test_negative_roundoff_clipped(self, line):
         rho = np.full(line.shape, -1e-13)
-        v, e = lda_xc(Density(rho, line, 0.0))
+        v, e = lda_xc(Density(rho, line))
         assert np.all(v == 0.0) and e == 0.0
 
     @staticmethod
@@ -260,7 +260,7 @@ class TestLdaXc:
         rs = (3.0 / (4.0 * np.pi * np.clip(rho, 1e-300, None))) ** (1.0 / 3.0)
         if case == "mixed":
             assert np.any(rs < 1.0) and np.any((rs >= 1.0) & (rho > 1e-30))
-        v, e = lda_xc(Density(rho, line, 1.0))
+        v, e = lda_xc(Density(rho, line))
         v_ref, e_ref = self.masked_reference(rho, line)
         assert np.array_equal(v, v_ref)
         assert e == e_ref
@@ -269,20 +269,20 @@ class TestLdaXc:
 class TestAssembleKs:
     def test_zero_density_no_ions(self, line):
         sys_ = ElectronSystem(grid=line, ions=[], occupations=[1.0])
-        pot = assemble_ks(Density(np.zeros(line.shape), line, 0.0), sys_)
+        pot = assemble_ks(Density(np.zeros(line.shape), line), sys_)
         assert np.all(pot.total == 0.0)
 
     def test_total_is_sum_of_parts(self, line):
         sys_ = ElectronSystem(grid=line, ions=[Ion(1.0, (0.0,), 1.0)],
                               occupations=[2.0])
-        rho = Density(normalized_gaussian(line) * 2.0, line, 2.0)
+        rho = Density(normalized_gaussian(line) * 2.0, line)
         pot = assemble_ks(rho, sys_)
         assert np.array_equal(pot.total, pot.v_hartree + pot.v_xc + pot.v_ion)
 
     def test_recomputation_bit_identical(self, line):
         sys_ = ElectronSystem(grid=line, ions=[Ion(1.0, (0.5,), 1.0)],
                               occupations=[1.0])
-        rho = Density(normalized_gaussian(line, 0.2), line, 1.0)
+        rho = Density(normalized_gaussian(line, 0.2), line)
         a = assemble_ks(rho, sys_)
         b = assemble_ks(rho, sys_)
         assert np.array_equal(a.total, b.total)
@@ -292,7 +292,7 @@ class TestAssembleKs:
         sys_ = ElectronSystem(grid=line, ions=[], occupations=[1.0],
                               use_hartree=False, use_xc=False,
                               harmonic_omega=0.5)
-        rho = Density(normalized_gaussian(line), line, 1.0)
+        rho = Density(normalized_gaussian(line), line)
         pot = assemble_ks(rho, sys_)
         x = line.coordinate(0)
         assert np.allclose(pot.total, 0.125 * x**2)

@@ -56,8 +56,6 @@ class TestPropConfig:
         with pytest.raises(ConfigurationError):
             PropConfig(dt=-0.1, n_steps=10)
         with pytest.raises(ConfigurationError):
-            PropConfig(dt=0.1, n_steps=10, order=7)
-        with pytest.raises(ConfigurationError):
             PropConfig(dt=0.1, n_steps=0)
 
 
@@ -66,7 +64,7 @@ class TestTaylorStep:
         g = Grid((31,), 0.3)
         rng = np.random.default_rng(0)
         psi = rng.standard_normal((1, 1) + g.shape) * (1 + 0j)
-        out = taylor_step(psi, np.zeros_like, 0.1, 4)
+        out = taylor_step(psi, np.zeros_like, 0.1)
         assert np.allclose(out, psi, atol=1e-15)
 
     def test_scalar_phase_truncation_error(self):
@@ -80,7 +78,7 @@ class TestTaylorStep:
         t_kin = (1.0 - np.cos(np.pi / (n + 1))) / h**2
         z = t_kin + v
         dt = 1.0
-        out = taylor_step(psi, ctx, dt, 4)
+        out = taylor_step(psi, ctx, dt)
         phase_err = np.max(np.abs(out - np.exp(-1j * z * dt) * psi))
         expected = abs(z * dt) ** 5 / 120.0
         assert phase_err == pytest.approx(expected, rel=0.1)
@@ -97,7 +95,7 @@ class TestTaylorStep:
         psi = atom_state.orbitals.psi.copy()
         dt, n = 0.05, 1000
         for _ in range(n):
-            psi = taylor_step(psi, ctx, dt, 4)
+            psi = taylor_step(psi, ctx, dt)
         ov = np.vdot(atom_state.orbitals.psi, psi) * g.volume_element
         assert abs(abs(ov) - 1.0) < 1e-8
         phase_err = np.angle(ov * np.exp(1j * eps * dt * n))
@@ -186,11 +184,11 @@ class TestPropagate:
             density = electron_density(OrbitalSet(psi, orb.occupations, g))
             pot = assemble_ks(density, system)
             ctx = stencil_hamiltonian(g, cav, pot.total, mean_dipole_mu(density, cav))
-            fwd = taylor_step(psi, ctx, 0.05, 4, shifts)
+            fwd = taylor_step(psi, ctx, 0.05, shifts)
             density2 = electron_density(OrbitalSet(fwd, orb.occupations, g))
             pot2 = assemble_ks(density2, system)
             ctx2 = stencil_hamiltonian(g, cav, pot2.total, mean_dipole_mu(density2, cav))
-            back = taylor_step(fwd, ctx2, -0.05, 4, shifts)
+            back = taylor_step(fwd, ctx2, -0.05, shifts)
             worst = max(worst, float(np.max(np.abs(back - psi))))
             psi = fwd
         assert worst < 1e-9
@@ -271,7 +269,7 @@ class TestMatchesStencilReference:
         psi, dips, qs = orb.psi, [], []
         for step in range(self.N_STEPS + 1):
             if step:
-                psi = taylor_step(psi, context(psi), kick.dt, kick.order, shifts)
+                psi = taylor_step(psi, context(psi), kick.dt, shifts)
             current = OrbitalSet(psi, orb.occupations, g)
             dips.append(dipole_integral(electron_density(current).values, g))
             qs.append(q_expectation(current, cav))
@@ -302,7 +300,7 @@ class TestMatchesStencilReference:
             pot = assemble_ks(density, system, v_ion=v_ion)
             v_p = photon_exchange_potential(mu, q, cav, g)
             ctx = stencil_hamiltonian(g, None, pot.total + v_p, 0.0)
-            psi = taylor_step(psi, ctx, dt, kick.order, shifts)
+            psi = taylor_step(psi, ctx, dt, shifts)
             q_new = q + dt * qdot + 0.5 * dt**2 * acc
             density = electron_density(OrbitalSet(psi, orb.occupations, g))
             mu = mean_dipole_mu(density, cav)
@@ -348,7 +346,7 @@ class TestMatchesStencilReference:
         for step in range(self.N_STEPS + 1):
             if step:
                 ctx = self.stencil(g, cav, *mean_field(psi), laser, (step - 1) * laser.dt)
-                psi = taylor_step(psi, ctx, laser.dt, laser.order, shifts)
+                psi = taylor_step(psi, ctx, laser.dt, shifts)
             current = OrbitalSet(psi, orb.occupations, g)
             dips.append(dipole_integral(electron_density(current).values, g))
             qs.append(q_expectation(current, cav))
@@ -380,7 +378,7 @@ class TestMatchesStencilReference:
             pot = assemble_ks(density, system, v_ion=v_ion)
             v_p = photon_exchange_potential(mu, q, cav, g)
             ctx = self.stencil(g, None, pot.total + v_p, 0.0, laser, step * dt)
-            psi = taylor_step(psi, ctx, dt, laser.order, shifts)
+            psi = taylor_step(psi, ctx, dt, shifts)
             q_new = q + dt * qdot + 0.5 * dt**2 * acc
             density = electron_density(OrbitalSet(psi, orb.occupations, g))
             mu = mean_dipole_mu(density, cav)
@@ -418,8 +416,8 @@ class TestBothSchemes:
             run(PropConfig(dt=5.0, n_steps=10, norm_tol_step=1e-10))
 
     def test_metadata_records_the_stepping(self, run):
-        series, _ = run(PropConfig(dt=0.05, n_steps=12, order=5, stride=3))
-        assert series.meta["propagator_order"] == 5
+        series, _ = run(PropConfig(dt=0.05, n_steps=12, stride=3))
+        assert series.meta["propagator_order"] == 4
         assert series.meta["stride"] == 3
         assert series.n_samples == 5
         # the drift over every step bounds the drift of the recorded samples
