@@ -117,6 +117,9 @@ def _load_state(args, cfg: RunConfig, out: Path):
     if chk.cavity != cfg.cavity:
         raise UsageError(f"checkpoint cavity {chk.cavity} does not match "
                          f"the configuration's {cfg.cavity}")
+    if not np.array_equal(chk.orbitals.occupations, cfg.system.occupations):
+        raise UsageError(f"checkpoint occupations {chk.orbitals.occupations.tolist()} do not "
+                         f"match the configuration's {cfg.system.occupations.tolist()}")
     return chk
 
 

@@ -37,6 +37,8 @@ _PZ_C = 0.0020
 _PZ_D = -0.0116
 
 _DENSITY_FLOOR = 1e-30
+# density put in place of discarded points before they are zeroed (r_s ~ 6)
+_DENSITY_STAND_IN = 1e-3
 
 # Poisson CG budget; the sine-transform preconditioner converges in ~5 iterations
 _POISSON_MAXITER = 5000
@@ -160,11 +162,13 @@ def _soft_kernel_1d(grid: Grid, softening: float) -> np.ndarray:
 
 
 def hartree_potential_1d(rho: np.ndarray, grid: Grid, softening: float) -> np.ndarray:
-    """V_H(x) = sum_j rho(x_j) h / sqrt((x - x_j)^2 + a_ee^2)."""
-    n = grid.shape[0]
+    """V_H(x) = sum_j rho(x_j) h / sqrt((x - x_j)^2 + a_ee^2).
+
+    The kernel spans every offset -(n-1)..(n-1), so the n outputs of full
+    overlap are the whole potential.
+    """
     kernel = _soft_kernel_1d(grid, softening)
-    full = np.convolve(np.asarray(rho, dtype=float), kernel, mode="full")
-    return full[n - 1 : 2 * n - 1] * grid.h
+    return np.convolve(np.asarray(rho, dtype=float), kernel, mode="valid") * grid.h
 
 
 @lru_cache(maxsize=4)
@@ -278,38 +282,59 @@ def hartree_potential(density: Density, *, softening: float = 1.0) -> np.ndarray
 def lda_xc(density: Density) -> tuple[np.ndarray, float]:
     """LDA exchange-correlation potential and energy.
 
-    Returns ``(v_xc, e_xc)`` with v_xc = d(e_xc)/d(rho) pointwise.  Regions
-    with rho = 0 contribute nothing (continuity limit).  Both Perdew-Zunger
-    branches are evaluated on every point and the one for each r_s is kept,
-    which on small grids costs less than gathering and scattering subsets.
+    Returns ``(v_xc, e_xc)`` with v_xc = d(e_xc)/d(rho) pointwise.  Points
+    with rho at or below ``_DENSITY_FLOOR`` contribute nothing (continuity
+    limit), and the masks that zero them run only when there are such
+    points.  A Perdew-Zunger branch is evaluated only when some point needs
+    it; when both are needed, both run on every point and each point keeps
+    its own, which on small grids costs less than gathering and scattering
+    subsets.  Every point gets the same arithmetic on every path.
     """
-    rho = np.clip(np.asarray(density.values, dtype=float), 0.0, None)
+    rho = np.maximum(np.asarray(density.values, dtype=float), 0.0)
     mask = rho > _DENSITY_FLOOR
-    # any positive stand-in keeps the discarded points finite
-    r = np.where(mask, rho, 1.0)
+    masked = not mask.all()
+    # the stand-in for a discarded point keeps it finite and on the r_s >= 1
+    # branch, the branch of the low-density tails where such points lie
+    r = np.where(mask, rho, _DENSITY_STAND_IN) if masked else rho
     rs = (3.0 / (4.0 * np.pi * r)) ** (1.0 / 3.0)
 
     eps_x = -_CX * r ** (1.0 / 3.0)
     v_x = (4.0 / 3.0) * eps_x
 
-    # r_s >= 1
-    s = np.sqrt(rs)
-    denom = 1.0 + _PZ_BETA1 * s + _PZ_BETA2 * rs
-    ec_low = _PZ_GAMMA / denom
-    vc_low = ec_low * (1.0 + (7.0 / 6.0) * _PZ_BETA1 * s
-                       + (4.0 / 3.0) * _PZ_BETA2 * rs) / denom
-    # r_s < 1
-    ln = np.log(rs)
-    ec_high = _PZ_A * ln + _PZ_B + _PZ_C * rs * ln + _PZ_D * rs
-    vc_high = (_PZ_A * ln + (_PZ_B - _PZ_A / 3.0)
-               + (2.0 / 3.0) * _PZ_C * rs * ln
-               + (2.0 * _PZ_D - _PZ_C) / 3.0 * rs)
-
     low = rs >= 1.0
-    eps = np.where(mask, eps_x + np.where(low, ec_low, ec_high), 0.0)
-    v = np.where(mask, v_x + np.where(low, vc_low, vc_high), 0.0)
+    if low.all():
+        ec, vc = _pz_low(rs)
+    elif not low.any():
+        ec, vc = _pz_high(rs)
+    else:
+        (ec_low, vc_low), (ec_high, vc_high) = _pz_low(rs), _pz_high(rs)
+        ec, vc = np.where(low, ec_low, ec_high), np.where(low, vc_low, vc_high)
+    eps = eps_x + ec
+    v = v_x + vc
+    if masked:
+        eps = np.where(mask, eps, 0.0)
+        v = np.where(mask, v, 0.0)
     e_xc = float(integrate(eps * rho, density.grid))
     return v, e_xc
+
+
+def _pz_low(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perdew-Zunger correlation energy and potential per particle for r_s >= 1."""
+    s = np.sqrt(rs)
+    denom = 1.0 + _PZ_BETA1 * s + _PZ_BETA2 * rs
+    ec = _PZ_GAMMA / denom
+    vc = ec * (1.0 + (7.0 / 6.0) * _PZ_BETA1 * s + (4.0 / 3.0) * _PZ_BETA2 * rs) / denom
+    return ec, vc
+
+
+def _pz_high(rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Perdew-Zunger correlation energy and potential per particle for r_s < 1."""
+    ln = np.log(rs)
+    ec = _PZ_A * ln + _PZ_B + _PZ_C * rs * ln + _PZ_D * rs
+    vc = (_PZ_A * ln + (_PZ_B - _PZ_A / 3.0)
+          + (2.0 / 3.0) * _PZ_C * rs * ln
+          + (2.0 * _PZ_D - _PZ_C) / 3.0 * rs)
+    return ec, vc
 
 
 def assemble_ks(density: Density, system: ElectronSystem, *,

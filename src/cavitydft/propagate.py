@@ -14,21 +14,24 @@ The field-free part of H (kinetic term, and on a Fock space the photon
 energies and the ladder coupling) is built once per run as one sparse
 matrix of about 12 bytes per nonzero, ~1.8 MB at 15^3 and ~40 MB at 41^3
 with two sectors; only the diagonal potential V_KS + photon term + E(t).r
-changes from step to step.  The Kohn-Sham potential built from each
-step's density serves both the next step and the energy of that sample.
-The local potential of each step is written into the diagonal of one
-per-run copy of that matrix, so every application of H is one sparse
-product.  Each step forms |psi|^2 once (:meth:`OrbitalSet.abs2` caches
-it); the norm guard, the density and every recorded column (dipoles, P_n,
-sector dipoles and the energy) are taken from it.  A constant per-orbital
-energy shift (a pure phase), each orbital's expectation value of H at
-t = 0 without the laser term, conditions the expansion so that norm
-conservation is limited by the energy spread rather than the absolute
-energy scale.  The kinetic stencil is the ground state's ``grid.order``,
-the one its SCF used, so a converged state is stationary under the
-propagator.  Orbitals are never re-orthogonalized during propagation;
-what is guarded is the norm of each orbital (its drift per step) and the
-finiteness of the orbitals and of every sample.
+changes from step to step.  The local potential of each step is written
+into the diagonal of one per-run copy of that matrix, so every application
+of H is one sparse product.  The loop works on the bare orbital array:
+each step forms |psi|^2 once and takes from it the norms (the drift guard
+and the finiteness check), the sector densities p_n, and from those the
+density, P_n and the sector dipoles; the mean field is one
+:func:`assemble_ks` per step.  A sample adds one product of adjacent
+sectors for <q> and one product with H for the energy (see :func:`_drive`),
+so the energy of a sample costs no rebuilt Laplacian or density.  An
+:class:`OrbitalSet` is made only for the returned and the aborted state.
+A constant per-orbital energy shift (a pure phase), each orbital's
+expectation value of H at t = 0 without the laser term, conditions the
+expansion so that norm conservation is limited by the energy spread
+rather than the absolute energy scale.  The kinetic stencil is the ground
+state's ``grid.order``, the one its SCF used, so a converged state is
+stationary under the propagator.  Orbitals are never re-orthogonalized
+during propagation; what is guarded is the norm of each orbital (its
+drift per step) and the finiteness of the orbitals and of every sample.
 """
 
 from __future__ import annotations
@@ -40,12 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
-                     electron_density, field_free_hamiltonian, mean_dipole_mu,
-                     photon_occupations, q_expectation, sector_dipoles)
+                     field_free_hamiltonian)
 from .errors import ConfigurationError, PropagationAborted, StepSizeError
-from .grid import dipole_vector
-from .potentials import assemble_ks
-from .scf import ScfState, orbital_eigenvalues, total_energy
+from .potentials import Density, assemble_ks
+from .scf import ScfState, orbital_eigenvalues
+# kept bound here because bench/tracer.py wraps this name in this module
+from .scf import total_energy  # noqa: F401
 from .timeseries import TimeSeries, axis_name
 
 TAYLOR_ORDER = 4
@@ -140,11 +143,12 @@ class _Scheme:
     """What one photon scheme brings to the stepping loop of :func:`_drive`.
 
     ``cavity`` is the coupled mode, recorded in the series metadata.
-    ``photon_potential(density)`` returns the photon term of the local
-    potential for the next step; it is called at t = 0 and after every
-    step, with the new density, and advances the scheme's photon state.
-    ``sample(energy)`` turns the orbital energy of a sample into that
-    sample's photon columns and its energy ``E``.
+    ``photon_potential(mu)`` returns the photon term of the local potential
+    for the next step, given mu = lam . D of the density; it is called at
+    t = 0 and after every step, with the new density's mu, and advances
+    the scheme's photon state.  ``sample(energy)`` turns the electronic
+    energy of a sample into that sample's photon columns and its energy
+    ``E``.
     """
 
     method: str
@@ -158,13 +162,13 @@ def propagate(state: ScfState, cfg: PropConfig) -> tuple[TimeSeries, OrbitalSet]
 
     The orbitals carry the photon sectors of ``state.cavity`` (one plain
     Kohn-Sham stack without a cavity); the local term is V_KS + mu (lam.r)
-    and each sample's energy is :func:`total_energy` with the cavity.
+    and each sample's energy is that of :func:`total_energy` with the cavity.
     See :func:`_drive` for the stepping, the checks and the recorded series.
     """
     cavity = state.cavity
     lam_r = coupling_field(cavity, state.system.grid) if cavity is not None else 0.0
     scheme = _Scheme("tensor-product", cavity,
-                     photon_potential=lambda density: mean_dipole_mu(density, cavity) * lam_r,
+                     photon_potential=lambda mu: mu * lam_r,
                      sample=lambda energy: {"E": energy})
     return _drive(state, cfg, scheme)
 
@@ -179,15 +183,39 @@ def _drive(state: ScfState, cfg: PropConfig,
     the mean-field potential is rebuilt from the density after every step.
     Every ``stride`` steps a sample records t, the dipole, on a Fock space
     <q>, P_n and the sector dipoles, the scheme's columns and E, and the
-    norm.  Norm drift beyond ``norm_tol_step`` per step raises
-    :class:`StepSizeError`; non-finite orbitals or samples abort with the
-    last good state and the series of the samples before it attached.
+    norm.  The energy of a sample comes from one product with the matrix H
+    as it stands, H_0 + diag(v):
+
+        sum_m c_m <phi_m|H phi_m> - int rho v + int rho v_ion + E_H + E_xc
+        + mu^2 / 2 - (N_e - 1) w sum_n (n + 1/2) P_n,
+
+    which is :func:`total_energy` for any diagonal v; the last two terms
+    belong to the Fock space and are absent without one.  Norm drift
+    beyond ``norm_tol_step`` per step raises :class:`StepSizeError`;
+    non-finite orbitals or samples abort with the last good state and the
+    series of the samples before it attached.
     """
     system, fock = state.system, state.cavity
     grid = system.grid
+    dv = grid.volume_element
+    kicked = delta_kick(state.orbitals, cfg.kick_strength, cfg.kick_axis)
+    occ, n_el = kicked.occupations, kicked.n_electrons
+    psi = np.ascontiguousarray(kicked.psi)
+    n_orb, n_sec = psi.shape[:2]
     v_ion = state.potential.v_ion
-    orbitals = delta_kick(state.orbitals, cfg.kick_strength, cfg.kick_axis)
-    columns: dict = {}
+    # one column per axis, so the sector dipoles are one product
+    positions = np.stack([grid.coordinate(a).ravel() for a in range(grid.dim)], axis=1)
+    lam = scheme.cavity.lam if scheme.cavity is not None else None
+    axes = [axis_name(a) for a in range(grid.dim)]
+    dipole_names = [f"D{a}" for a in axes]
+    if fock is not None:
+        occupation_names = [f"P{n}" for n in range(n_sec)]
+        sector_names = [f"D{a}_s{n}" for n in range(n_sec) for a in axes]
+        # <q> = sum_m c_m sum_n 2 sqrt(n+1) Re<phi_mn|phi_m,n+1> / sqrt(2 w)
+        q_weights = 2.0 * fock.sqrt_n[1:n_sec] * dv / np.sqrt(2.0 * fock.omega)
+    names: list = []
+    table = None  # one row per sample, allocated once the first sample names the columns
+    n_rows = 0
     max_drift = 0.0
 
     def series() -> TimeSeries:
@@ -207,75 +235,93 @@ def _drive(state: ScfState, cfg: PropConfig,
             meta["cavity_lambda"] = " ".join(f"{c:g}" for c in scheme.cavity.lam)
         if fock is not None:
             meta["n_fock"] = fock.n_fock
-        return TimeSeries(columns={k: np.asarray(v) for k, v in columns.items()}, meta=meta)
+        return TimeSeries(columns=dict(zip(names, table[:n_rows].T.copy())), meta=meta)
 
-    def abort(message, orbitals, t):
-        raise PropagationAborted(message, series=series(), orbitals=orbitals, time=t)
+    def abort(message, psi, t):
+        raise PropagationAborted(message, series=series(), orbitals=OrbitalSet(psi, occ, grid),
+                                 time=t)
 
-    def record(t, orbitals, density, pot, norms):
+    def norms_of(abs2):
+        return np.sqrt(abs2.reshape(n_orb, -1).sum(axis=1) * dv)
+
+    def densities(abs2):
+        """Sector densities p_n = sum_m c_m |phi_mn|^2, rho, the sector dipoles and mu."""
+        p = (occ @ abs2.reshape(n_orb, -1)).reshape(n_sec, -1)
+        rho = p.sum(axis=0)
+        dipoles = (p @ positions) * dv
+        mu = float(dipoles.sum(axis=0) @ lam) if lam is not None else 0.0
+        return p, rho, dipoles, mu
+
+    def record(t, psi, norms, p, rho, dipoles, mu, pot, v_diag):
+        nonlocal table, n_rows
+        flat = psi.reshape(n_orb, -1)
+        h_psi = hamiltonian.apply(psi).reshape(n_orb, -1)
+        band = float(occ @ np.einsum("mp,mp->m", flat.conj(), h_psi).real)
+        energy = ((band + float(rho @ (v_ion - v_diag).ravel())) * dv
+                  + pot.e_hartree + pot.e_xc)
         row = {"t": t}
-        for a, d in enumerate(dipole_vector(density.values, grid)):
-            row[f"D{axis_name(a)}"] = d
+        row.update(zip(dipole_names, dipoles.sum(axis=0).tolist()))
         if fock is not None:
-            row["q"] = q_expectation(orbitals, fock)
-            for n, p in enumerate(photon_occupations(orbitals)):
-                row[f"P{n}"] = p
-        energy = total_energy(system, orbitals, fock, potential=pot)
-        row.update(scheme.sample(energy.total))
-        row["norm"] = float(norms @ orbitals.occupations) / orbitals.n_electrons
+            pn = p.sum(axis=1) * (dv / n_el)
+            # Re<phi_mn|phi_m,n+1> from the real and imaginary parts side by side
+            f = flat.view(float).reshape(n_orb, n_sec, -1)
+            row["q"] = float(occ @ np.einsum("mnp,mnp->mn", f[:, :-1], f[:, 1:]) @ q_weights)
+            row.update(zip(occupation_names, pn.tolist()))
+            energy += 0.5 * mu * mu - (n_el - 1.0) * float(pn @ fock.photon_energies)
+        row.update(scheme.sample(energy))
+        row["norm"] = float(norms @ occ) / n_el
         if fock is not None:
-            for n, dip in enumerate(sector_dipoles(orbitals)):
-                for a, d in enumerate(dip):
-                    row[f"D{axis_name(a)}_s{n}"] = d
-        if not columns:
-            columns.update((name, []) for name in row)
-        bad = [name for name, value in row.items() if not math.isfinite(value)]
-        if bad:
-            abort(f"non-finite sample ({', '.join(bad)}) at t = {t:.6g}", orbitals, t)
-        for name, value in row.items():
-            columns[name].append(value)
+            row.update(zip(sector_names, dipoles.ravel().tolist()))
+        if table is None:
+            names.extend(row)
+            table = np.empty((cfg.n_steps // cfg.stride + 1, len(names)))
+        values = list(row.values())
+        if not all(map(math.isfinite, values)):
+            bad = [name for name, value in row.items() if not math.isfinite(value)]
+            abort(f"non-finite sample ({', '.join(bad)}) at t = {t:.6g}", psi, t)
+        table[n_rows] = values
+        n_rows += 1
 
-    density = electron_density(orbitals)
-    pot = assemble_ks(density, system, v_ion=v_ion)
-    v_local = pot.total + scheme.photon_potential(density)
+    abs2 = np.abs(psi) ** 2
+    norms_ref = norms_of(abs2)
+    p, rho, dipoles, mu = densities(abs2)
+    pot = assemble_ks(Density(rho.reshape(grid.shape), grid), system, v_ion=v_ion)
+    v_local = pot.total + scheme.photon_potential(mu)
     hamiltonian = SparseHamiltonian(field_free_hamiltonian(grid, fock), v_local)
-    shifts = orbital_eigenvalues(orbitals, hamiltonian.apply)
-
-    norms_ref = orbitals.norms()
+    shifts = orbital_eigenvalues(kicked, hamiltonian.apply).reshape(
+        (-1,) + (1,) * (psi.ndim - 1))
     t = 0.0
-    record(t, orbitals, density, pot, norms_ref)
+    record(t, psi, norms_ref, p, rho, dipoles, mu, pot, v_local)
 
     for step in range(1, cfg.n_steps + 1):
-        v_step = v_local
+        v_diag = v_local
         if cfg.laser is not None:
-            v_step = v_local + (cfg.laser.field(t + 0.5 * cfg.dt)
+            v_diag = v_local + (cfg.laser.field(t + 0.5 * cfg.dt)
                                 * grid.coordinate(cfg.laser.axis))
-        hamiltonian.set_potential(v_step)
-        stepped = OrbitalSet(
-            taylor_step(orbitals.psi, hamiltonian.apply, cfg.dt, shifts),
-            orbitals.occupations, grid)
-        norms = stepped.norms()
-        # a non-finite orbital value makes its norm non-finite
-        if not np.all(np.isfinite(norms)):
-            abort(f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})",
-                  orbitals, t)
-        orbitals = stepped
+        hamiltonian.set_potential(v_diag)
+        stepped = taylor_step(psi, hamiltonian.apply, cfg.dt, shifts)
+        abs2 = np.abs(stepped) ** 2
+        norms = norms_of(abs2)
+        # a non-finite orbital value makes its norm, and so the drift, non-finite
+        drift = float(np.max(np.abs(norms - norms_ref)))
+        if not math.isfinite(drift):
+            abort(f"non-finite orbital values at step {step} (t = {t + cfg.dt:.6g})", psi, t)
+        psi = stepped
         t = step * cfg.dt
 
-        drift = float(np.max(np.abs(norms - norms_ref)))
         max_drift = max(max_drift, drift)
         if drift > cfg.norm_tol_step * step:
             raise StepSizeError(
                 f"norm drift {drift:.3e} after {step} steps exceeds "
                 f"{cfg.norm_tol_step:.1e} per step; reduce dt below {cfg.dt}")
 
-        density = electron_density(orbitals)
-        pot = assemble_ks(density, system, v_ion=v_ion)
-        v_local = pot.total + scheme.photon_potential(density)
+        p, rho, dipoles, mu = densities(abs2)
+        pot = assemble_ks(Density(rho.reshape(grid.shape), grid), system, v_ion=v_ion)
+        v_local = pot.total + scheme.photon_potential(mu)
         if step % cfg.stride == 0:
-            record(t, orbitals, density, pot, norms)
+            record(t, psi, norms, p, rho, dipoles, mu, pot, v_diag)
 
-    return series(), orbitals
+    return series(), OrbitalSet(psi, occ, grid)
 
 
 def overlap_deviation(orbitals: OrbitalSet) -> float:

@@ -121,14 +121,13 @@ def qedft_propagate(state: ScfState, cavity: CavityMode,
     osc = PhotonOscillator(q=initial_displacement(state, cavity), qdot=0.0, omega=w)
     mu = acc = None
 
-    def photon_potential(density):
-        nonlocal osc, mu, acc
-        mu = mean_dipole_mu(density, cavity)
+    def photon_potential(new_mu):
+        nonlocal mu, acc
+        mu = new_mu
         if acc is None:  # the first call, at t = 0 before any step
             acc = w * mu - w**2 * osc.q
         else:
-            q, qdot, acc = verlet_step(osc.q, osc.qdot, acc, w, w * mu, cfg.dt)
-            osc = PhotonOscillator(q=q, qdot=qdot, omega=w)
+            osc.q, osc.qdot, acc = verlet_step(osc.q, osc.qdot, acc, w, w * mu, cfg.dt)
         return photon_exchange_potential(mu, osc.q, cavity, grid)
 
     def sample(e_matter):

@@ -579,6 +579,17 @@ class TestCliTables:
         assert "CavityMode(omega=0.2, coupling=(0.05,), n_fock=1)" in err
         assert not (tmp_path / "atom_timeseries.tsv").exists()
 
+    def test_checkpoint_of_other_occupations_rejected(self, solved, tmp_path, capsys):
+        other = tmp_path / "other.cfg"
+        other.write_text(SMALL_CFG.replace("occupations = 1.0", "occupations = 2.0"))
+        code = main(["propagate", "--config", str(other), "--out", str(tmp_path),
+                     "--checkpoint", str(solved / "atom_scf.chk")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ERROR UsageError" in err
+        assert "checkpoint occupations [1.0] do not match the configuration's [2.0]" in err
+        assert not (tmp_path / "atom_timeseries.tsv").exists()
+
 
 POLARITON_CFG = """
 [system]

@@ -241,7 +241,8 @@ class TestLdaXc:
         v[mask] = v_x + v_c
         return v, float(integrate(eps * rho, grid))
 
-    @pytest.mark.parametrize("case", ["mixed", "zeros", "tiny", "negative", "low", "high"])
+    @pytest.mark.parametrize("case", ["mixed", "zeros", "tiny", "negative", "low", "high",
+                                      "low-unmasked"])
     def test_bit_identical_to_masked_form(self, line, case):
         rng = np.random.default_rng(11)
         x = line.coordinate(0)
@@ -254,12 +255,18 @@ class TestLdaXc:
             "zeros": np.zeros(line.shape),
             "tiny": rng.uniform(0.0, 2e-30, line.shape),
             "negative": -rng.uniform(0.0, 1e-12, line.shape),
+            # r_s >= 1 on the whole line; the tails underflow below the floor
             "low": 0.2 * np.exp(-x**2),
             "high": 0.3 + 2.0 * np.exp(-x**2),
+            # r_s >= 1 and above the floor everywhere, as for the 1D dimer's
+            # density: one branch and no masks
+            "low-unmasked": 0.05 + 0.1 * np.exp(-x**2),
         }[case]
         rs = (3.0 / (4.0 * np.pi * np.clip(rho, 1e-300, None))) ** (1.0 / 3.0)
         if case == "mixed":
             assert np.any(rs < 1.0) and np.any((rs >= 1.0) & (rho > 1e-30))
+        if case == "low-unmasked":
+            assert np.all(rs >= 1.0) and np.all(rho > 1e-30)
         v, e = lda_xc(Density(rho, line))
         v_ref, e_ref = self.masked_reference(rho, line)
         assert np.array_equal(v, v_ref)

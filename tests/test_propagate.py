@@ -1,11 +1,12 @@
 import dataclasses
 import functools
+import sys
 
 import numpy as np
 import pytest
 
-from cavitydft.cavity import (CavityMode, OrbitalSet, apply_hamiltonian, electron_density,
-                              mean_dipole_mu, q_expectation)
+from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, apply_hamiltonian,
+                              electron_density, mean_dipole_mu, q_expectation)
 from cavitydft.errors import ConfigurationError, PropagationAborted, StepSizeError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
@@ -13,6 +14,11 @@ from cavitydft.propagate import (LaserPulse, PropConfig, delta_kick,
                                  overlap_deviation, propagate, taylor_step)
 from cavitydft.qedft import initial_displacement, photon_exchange_potential, qedft_propagate
 from cavitydft.scf import ScfConfig, orbital_eigenvalues, scf_solve, total_energy
+
+# the package re-exports functions whose names shadow their modules
+propagate_module = sys.modules["cavitydft.propagate"]
+qedft_module = sys.modules["cavitydft.qedft"]
+scf_module = sys.modules["cavitydft.scf"]
 
 
 def stencil_hamiltonian(grid, cavity, v_local, mu):
@@ -254,8 +260,26 @@ class TestMatchesStencilReference:
     def kick(self):
         return PropConfig(dt=0.05, n_steps=self.N_STEPS, kick_strength=1e-3)
 
-    def test_tensor_product(self, dimer, kick):
-        state, _, cav = dimer
+    @pytest.fixture(scope="class")
+    def molecule(self):
+        """A loosely converged 3D molecule with a cavity, and a short kick run."""
+        system = ElectronSystem(grid=Grid((9, 9, 9), 0.6),
+                                ions=[Ion(1.0, (-0.7, 0.0, 0.0), 1.0),
+                                      Ion(1.0, (0.7, 0.0, 0.0), 1.0)],
+                                occupations=[2.0])
+        cav = CavityMode(omega=0.3, coupling=(0.05, 0.0, 0.0), n_fock=1)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-6, tol_density=1e-4))
+        return state, cav, PropConfig(dt=0.01, n_steps=20, kick_strength=1e-3)
+
+    @pytest.fixture(params=["dimer", "molecule-3d"])
+    def coupled(self, request):
+        if request.param == "dimer":
+            state, _, cav = request.getfixturevalue("dimer")
+            return state, cav, request.getfixturevalue("kick")
+        return request.getfixturevalue("molecule")
+
+    def test_tensor_product(self, coupled):
+        state, cav, kick = coupled
         system, g = state.system, state.system.grid
         v_ion = state.potential.v_ion
         orb = delta_kick(state.orbitals, kick.kick_strength)
@@ -267,7 +291,7 @@ class TestMatchesStencilReference:
 
         shifts = orbital_eigenvalues(orb, context(orb.psi))
         psi, dips, qs = orb.psi, [], []
-        for step in range(self.N_STEPS + 1):
+        for step in range(kick.n_steps + 1):
             if step:
                 psi = taylor_step(psi, context(psi), kick.dt, shifts)
             current = OrbitalSet(psi, orb.occupations, g)
@@ -423,6 +447,29 @@ class TestBothSchemes:
         # the drift over every step bounds the drift of the recorded samples
         recorded = np.max(np.abs(series["norm"] - series["norm"][0]))
         assert 0.999 * recorded <= float(series.meta["max_norm_drift"]) < 1e-10
+
+    @pytest.mark.parametrize("n_steps, stride", [(12, 3), (7, 2), (5, 1)])
+    def test_hot_loop_counts(self, run, monkeypatch, n_steps, stride):
+        # one mean field per step and at t = 0; four H products per step, one
+        # per sample and one for the shifts; no energy evaluation of its own
+        calls = {"assemble_ks": 0, "total_energy": 0, "apply": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(propagate_module, "assemble_ks")
+        for module in (propagate_module, qedft_module, scf_module):
+            counted(module, "total_energy")
+        counted(SparseHamiltonian, "apply")
+        series, _ = run(PropConfig(dt=0.05, n_steps=n_steps, stride=stride))
+        assert series.n_samples == n_steps // stride + 1
+        assert calls == {"assemble_ks": n_steps + 1, "total_energy": 0,
+                         "apply": 4 * n_steps + n_steps // stride + 2}
 
 
 class TestPolaritonDynamics:
