@@ -285,10 +285,11 @@ def lda_xc(density: Density) -> tuple[np.ndarray, float]:
     Returns ``(v_xc, e_xc)`` with v_xc = d(e_xc)/d(rho) pointwise.  Points
     with rho at or below ``_DENSITY_FLOOR`` contribute nothing (continuity
     limit), and the masks that zero them run only when there are such
-    points.  A Perdew-Zunger branch is evaluated only when some point needs
-    it; when both are needed, both run on every point and each point keeps
-    its own, which on small grids costs less than gathering and scattering
-    subsets.  Every point gets the same arithmetic on every path.
+    points.  When every r_s >= 1, as in the low densities of the 1D models,
+    only that Perdew-Zunger branch is evaluated; otherwise both run on every
+    point and each point keeps its own, which on small grids costs less than
+    gathering and scattering subsets.  Every point gets the same arithmetic
+    on every path.
     """
     rho = np.maximum(np.asarray(density.values, dtype=float), 0.0)
     mask = rho > _DENSITY_FLOOR
@@ -304,8 +305,6 @@ def lda_xc(density: Density) -> tuple[np.ndarray, float]:
     low = rs >= 1.0
     if low.all():
         ec, vc = _pz_low(rs)
-    elif not low.any():
-        ec, vc = _pz_high(rs)
     else:
         (ec_low, vc_low), (ec_high, vc_high) = _pz_low(rs), _pz_high(rs)
         ec, vc = np.where(low, ec_low, ec_high), np.where(low, vc_low, vc_high)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, apply_hamiltonian,
-                              electron_density, mean_dipole_mu, q_expectation)
+                              electron_density, mean_dipole_mu, photon_occupations,
+                              q_expectation, sector_dipoles)
 from cavitydft.errors import ConfigurationError, PropagationAborted, StepSizeError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
@@ -290,17 +291,24 @@ class TestMatchesStencilReference:
             return stencil_hamiltonian(g, cav, pot.total, mean_dipole_mu(density, cav))
 
         shifts = orbital_eigenvalues(orb, context(orb.psi))
-        psi, dips, qs = orb.psi, [], []
+        psi, dips, qs, occs, sectors = orb.psi, [], [], [], []
         for step in range(kick.n_steps + 1):
             if step:
                 psi = taylor_step(psi, context(psi), kick.dt, shifts)
             current = OrbitalSet(psi, orb.occupations, g)
             dips.append(dipole_integral(electron_density(current).values, g))
             qs.append(q_expectation(current, cav))
+            occs.append(photon_occupations(current))
+            sectors.append(sector_dipoles(current))
 
         series, final = propagate(state, kick)
         assert np.max(np.abs(series["Dx"] - dips)) < 1e-12
         assert np.max(np.abs(series["q"] - qs)) < 1e-12
+        occs, sectors = np.array(occs), np.array(sectors)  # (samples, n), (samples, n, axis)
+        for n in range(cav.n_sectors):
+            assert np.max(np.abs(series[f"P{n}"] - occs[:, n])) < 1e-12
+            for a, name in enumerate("xyz"[:g.dim]):
+                assert np.max(np.abs(series[f"D{name}_s{n}"] - sectors[:, n, a])) < 1e-12
         assert np.max(np.abs(final.psi - psi)) < 1e-12
         energy = total_energy(system, final, cav).total
         assert abs(series["E"][-1] - energy) < 1e-12
