@@ -168,6 +168,28 @@ class OrbitalSet:
         return (flat.conj() @ flat.T) * self.grid.volume_element
 
 
+@lru_cache(maxsize=16)
+def _fock_terms(cavity: CavityMode, grid: Grid) -> tuple:
+    """The constants :func:`apply_hamiltonian` needs for one (cavity, grid).
+
+    lam.r; (n + 1/2) w shaped to broadcast over (sectors, *grid); and, when
+    the ladder coupling acts, sqrt(n) for n = 1..N_F shaped the same way
+    and the field sqrt(w/2) lam.r (``None`` for both otherwise).  Shared
+    between calls, so read-only.
+    """
+    lam_r = coupling_field(cavity, grid)
+    per_sector = (-1,) + (1,) * grid.dim
+    energies = cavity.photon_energies.reshape(per_sector)
+    sqrt_n = ladder_field = None
+    if any(c != 0.0 for c in cavity.coupling) and cavity.n_fock > 0:
+        sqrt_n = cavity.sqrt_n[1:cavity.n_sectors].reshape(per_sector)
+        ladder_field = np.sqrt(cavity.omega / 2.0) * lam_r
+    for a in (energies, sqrt_n, ladder_field):
+        if a is not None:
+            a.setflags(write=False)
+    return lam_r, energies, sqrt_n, ladder_field
+
+
 def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
                       cavity: CavityMode | None, grid: Grid) -> np.ndarray:
     """Act with the coupled one-body Hamiltonian on orbital sector stacks.
@@ -183,15 +205,18 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
 
     ``psi`` may have leading axes ``(orbitals, sectors)`` or just
     ``(sectors,)``; the trailing axes must match the grid.  An external
-    field E.r is part of ``v_local``.
+    field E.r is part of ``v_local``.  The cavity's constant fields are
+    formed once per (cavity, grid).
     """
     psi = np.asarray(psi, dtype=complex)
     grid.check_field(v_local)
 
-    out = -0.5 * laplacian(psi, grid)
+    out = laplacian(psi, grid)
+    out *= -0.5
 
     if cavity is None:
-        return out + v_local * psi
+        out += v_local * psi
+        return out
 
     sector_axis = psi.ndim - grid.dim - 1
     if sector_axis < 0 or psi.shape[sector_axis] != cavity.n_sectors:
@@ -199,27 +224,23 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
             f"expected {cavity.n_sectors} Fock sectors on axis {sector_axis}, "
             f"got shape {psi.shape}")
 
-    lam_r = coupling_field(cavity, grid)
+    lam_r, energies, sqrt_n, ladder_field = _fock_terms(cavity, grid)
     out += (v_local + mu * lam_r if mu != 0.0 else v_local) * psi
 
     # diagonal photon energy (n + 1/2) w per sector
-    bshape = (1,) * sector_axis + (cavity.n_sectors,) + (1,) * grid.dim
-    out += cavity.photon_energies.reshape(bshape) * psi
+    out += energies * psi
 
     # bilinear coupling: connects n to n-1 and n+1
-    if np.any(cavity.lam != 0.0) and cavity.n_fock > 0:
-        sq = cavity.sqrt_n
+    if ladder_field is not None:
         ladder = np.zeros_like(psi)
-        lo = [slice(None)] * psi.ndim
-        hi = [slice(None)] * psi.ndim
-        lo[sector_axis] = slice(1, None)
-        hi[sector_axis] = slice(None, -1)
-        coef = sq[1:cavity.n_sectors].reshape((-1,) + (1,) * grid.dim)
+        space = (slice(None),) * grid.dim
+        lo = (Ellipsis, slice(1, None)) + space
+        hi = (Ellipsis, slice(None, -1)) + space
         # sqrt(n) psi_{n-1} lands in sector n
-        ladder[tuple(lo)] += coef * psi[tuple(hi)]
+        ladder[lo] += sqrt_n * psi[hi]
         # sqrt(n+1) psi_{n+1} lands in sector n
-        ladder[tuple(hi)] += coef * psi[tuple(lo)]
-        out -= np.sqrt(cavity.omega / 2.0) * lam_r * ladder
+        ladder[hi] += sqrt_n * psi[lo]
+        out -= ladder_field * ladder
 
     return out
 
@@ -308,7 +329,7 @@ def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:
     if cavity is None:
         return 0.0
     mu = 0.0
-    for axis, la in enumerate(cavity.lam):
+    for axis, la in enumerate(cavity.coupling):
         if la != 0.0:
             mu += la * gridmod.dipole_integral(density.values, density.grid, axis)
     return float(mu)
@@ -319,12 +340,18 @@ def photon_occupations(orbitals: OrbitalSet) -> np.ndarray:
 
     They are non-negative and sum to one.
     """
-    n_el = orbitals.n_electrons
+    return sector_probabilities(orbitals.abs2(), orbitals.occupations,
+                                orbitals.grid.volume_element)
+
+
+def sector_probabilities(abs2: np.ndarray, occupations: np.ndarray, dv: float) -> np.ndarray:
+    """:func:`photon_occupations` from |psi|^2 of shape (orbitals, sectors, *grid)."""
+    n_el = float(occupations.sum())
     if n_el <= 0:
         raise UsageError("photon occupations undefined for zero electrons")
-    axes = tuple(range(2, orbitals.psi.ndim))
-    per = np.sum(orbitals.abs2(), axis=axes) * orbitals.grid.volume_element  # (m, n)
-    return (orbitals.occupations @ per) / n_el
+    axes = tuple(range(2, abs2.ndim))
+    per = abs2.sum(axis=axes) * dv  # (m, n)
+    return (occupations @ per) / n_el
 
 
 def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:
@@ -352,9 +379,13 @@ def sector_density(orbitals: OrbitalSet, n: int) -> np.ndarray:
 
 def electron_density(orbitals: OrbitalSet) -> Density:
     """Total density rho = sum_n p_n."""
-    occ = orbitals.occupations.reshape((-1, 1) + (1,) * orbitals.grid.dim)
-    rho = np.sum(occ * orbitals.abs2(), axis=(0, 1))
-    return Density(rho, orbitals.grid)
+    return Density(density_values(orbitals.abs2(), orbitals.occupations), orbitals.grid)
+
+
+def density_values(abs2: np.ndarray, occupations: np.ndarray) -> np.ndarray:
+    """rho = sum_m c_m sum_n |phi_mn|^2 from |psi|^2 of shape (orbitals, sectors, *grid)."""
+    occ = occupations.reshape((-1,) + (1,) * (abs2.ndim - 1))
+    return (occ * abs2).sum(axis=(0, 1))
 
 
 def sector_dipoles(orbitals: OrbitalSet) -> np.ndarray:

@@ -128,18 +128,29 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     grid.check_field(f)
     weights = _laplacian_weights(grid)
     f = np.asarray(f)
-    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, float))
     if np.iscomplexobj(f):
         # One pass over (..., re/im) pairs: the same sums per component as
         # filtering f.real and f.imag apart, so the result is bit-identical.
         f = np.ascontiguousarray(f)
-        pairs = f.view(f.real.dtype).reshape(f.shape + (2,))
-        out_pairs = out.view(out.real.dtype).reshape(out.shape + (2,))
-        for axis in range(-grid.dim - 1, -1):
-            out_pairs += ndimage.correlate1d(pairs, weights, axis=axis, mode="constant")
+        source = f.view(f.real.dtype).reshape(f.shape + (2,))
+        target = out.view(out.real.dtype).reshape(out.shape + (2,))
+        axes = range(-grid.dim - 1, -1)
     else:
-        for axis in range(-grid.dim, 0):
-            out += ndimage.correlate1d(f, weights, axis=axis, mode="constant")
+        source, target, axes = f, out, range(-grid.dim, 0)
+    # every axis is filtered in the input's precision, as filtering f.real and
+    # f.imag apart would be; the first axis writes the result, into the
+    # result itself when the precisions agree, and every further one adds to it
+    first, *rest = axes
+    if source.dtype == target.dtype:
+        ndimage.correlate1d(source, weights, axis=first, mode="constant", output=target)
+    else:
+        target[...] = ndimage.correlate1d(source, weights, axis=first, mode="constant")
+    if rest:
+        term = np.empty_like(source)
+        for axis in rest:
+            ndimage.correlate1d(source, weights, axis=axis, mode="constant", output=term)
+            target += term
     return out
 
 
@@ -168,7 +179,7 @@ def dipole_integral(rho: np.ndarray, grid: Grid, axis: int = 0) -> float:
     """First moment integral r_axis rho(r) dr of a real density."""
     rho = np.asarray(rho)
     grid.check_field(rho)
-    return float(np.sum(grid.coordinate(axis) * rho)) * grid.volume_element
+    return float((grid.coordinate(axis) * rho).sum()) * grid.volume_element
 
 
 def dipole_vector(rho: np.ndarray, grid: Grid) -> np.ndarray:

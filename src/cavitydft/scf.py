@@ -10,18 +10,36 @@ consecutive iterations; the converged iteration's density, potential and
 energy are the returned state.  Density mixing is damped automatically
 when the energy history starts to oscillate, which is the typical failure
 mode at larger couplings.
+
+The loop works on the bare orbital array psi, |psi|^2 and rho.  An
+iteration makes two mean fields (:func:`assemble_ks` of the input and of
+the output density), two products with H (:func:`apply_hamiltonian`) and
+one Laplacian, of the output orbitals, for their kinetic energy.  Its energy
+comes from :func:`_energy`, the core :func:`total_energy` also calls, with
+the |psi|^2, density and Hartree and XC terms the iteration already formed;
+P_n is formed again only for a ``log`` line.  The returned state's orbital
+set, density, potential and :func:`total_energy` are built once, after the
+loop, so its energy is the last iteration's bit for bit.  On the 161-point
+dimer with two photon sectors an iteration costs 0.28 ms (0.37-0.47 ms for
+the earlier loop, which called :func:`total_energy` every iteration); on
+the 55-point harmonic polariton with three sectors and no mean field,
+0.17-0.20 ms (0.26-0.29 ms).  Each figure is the CPU time per iteration of
+a 400-iteration solve, the minimum of three, in three alternating rounds
+on a 2-vCPU Xeon host shared with other tenants.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .cavity import (CavityMode, OrbitalSet, apply_hamiltonian, coupling_field,
-                     electron_density, mean_dipole_mu, photon_occupations)
-from .errors import ConfigurationError, ConvergenceError
+                     density_values, electron_density, mean_dipole_mu, photon_occupations,
+                     sector_probabilities)
+from .errors import ConfigurationError, ConvergenceError, UsageError
 from .grid import laplacian
 from .potentials import (Density, ElectronSystem, KsPotential, assemble_ks,
                          external_potential)
@@ -49,6 +67,9 @@ class ScfConfig:
     minimizer: str = "imaginary-time"
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ConfigurationError(
+                f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tol_energy <= 0 or self.tol_density <= 0:
             raise ConfigurationError("SCF tolerances must be positive")
         if not 0 < self.mixing <= 1:
@@ -185,10 +206,15 @@ def gram_schmidt_sectorwise(orbitals: OrbitalSet) -> OrbitalSet:
     Linearly dependent inputs are perturbed by a fixed checkerboard
     pattern and retried.
     """
-    grid = orbitals.grid
+    psi = _orthonormalized(orbitals.psi, orbitals.grid)
+    return OrbitalSet(psi, orbitals.occupations, orbitals.grid)
+
+
+def _orthonormalized(psi: np.ndarray, grid) -> np.ndarray:
+    """:func:`gram_schmidt_sectorwise` on the bare array (orbitals, sectors, *grid)."""
     dv = grid.volume_element
-    n_orb, n_sec = orbitals.n_orbitals, orbitals.n_sectors
-    work = orbitals.psi.reshape(n_orb, n_sec, -1).copy()
+    n_orb, n_sec = psi.shape[:2]
+    work = psi.reshape(n_orb, n_sec, -1).copy()
     board = None
 
     for attempt in range(_GS_RETRIES + 1):
@@ -212,49 +238,50 @@ def gram_schmidt_sectorwise(orbitals: OrbitalSet) -> OrbitalSet:
         if board is None:
             board = _checkerboard(grid).ravel()
         for m in np.nonzero(norms < 1e-10)[0]:
-            work[m] = orbitals.psi.reshape(n_orb, n_sec, -1)[m]
+            work[m] = psi.reshape(n_orb, n_sec, -1)[m]
             work[m, 0] += _PERTURB_AMPLITUDE * (m + 1) * board
 
-    psi = (work / norms[:, None, None]).reshape(orbitals.psi.shape)
-    return OrbitalSet(psi, orbitals.occupations, grid)
+    return (work / norms[:, None, None]).reshape(psi.shape)
 
 
 class _Minimizer:
     """Per-orbital update strategies for one frozen-Hamiltonian step.
 
-    :meth:`step` takes the Hamiltonian as a callable ``apply(psi) -> H psi``.
+    :meth:`step` takes the orbitals as the bare array (orbitals, sectors,
+    *grid) and the Hamiltonian as a callable ``apply(psi) -> H psi``.
     """
 
-    def __init__(self, kind: str, n_orbitals: int):
+    def __init__(self, kind: str, n_orbitals: int, dv: float):
         self.kind = kind
+        self.dv = dv
         self.prev_grad = [None] * n_orbitals
         self.prev_dir = [None] * n_orbitals
 
-    def step(self, orbitals: OrbitalSet, apply: Callable) -> np.ndarray:
-        h_psi = apply(orbitals.psi)
+    def step(self, psi: np.ndarray, apply: Callable) -> np.ndarray:
+        h_psi = apply(psi)
         if self.kind == "imaginary-time":
-            return self._imaginary_time(orbitals, h_psi, apply)
-        return self._conjugate_gradient(orbitals, h_psi, apply)
+            return self._imaginary_time(psi, h_psi, apply)
+        return self._conjugate_gradient(psi, h_psi, apply)
 
-    @staticmethod
-    def _moments(orbitals, h_psi, h2_psi=None):
-        dv = orbitals.grid.volume_element
-        flat = orbitals.psi.reshape(orbitals.n_orbitals, -1)
-        w = h_psi.reshape(orbitals.n_orbitals, -1)
-        m1 = np.einsum("mp,mp->m", flat.conj(), w).real * dv
-        m2 = np.einsum("mp,mp->m", w.conj(), w).real * dv
+    def _moments(self, psi, h_psi, h2_psi=None):
+        n_orb = psi.shape[0]
+        flat = psi.reshape(n_orb, -1)
+        w = h_psi.reshape(n_orb, -1)
+        m1 = np.einsum("mp,mp->m", flat.conj(), w).real * self.dv
+        m2 = np.einsum("mp,mp->m", w.conj(), w).real * self.dv
         if h2_psi is None:
             return m1, m2, None
-        hw = h2_psi.reshape(orbitals.n_orbitals, -1)
-        m3 = np.einsum("mp,mp->m", w.conj(), hw).real * dv
+        hw = h2_psi.reshape(n_orb, -1)
+        m3 = np.einsum("mp,mp->m", w.conj(), hw).real * self.dv
         return m1, m2, m3
 
-    def _imaginary_time(self, orbitals, h_psi, apply):
+    def _imaginary_time(self, psi, h_psi, apply):
         # minimize the Rayleigh quotient of (1 - tau H) phi over tau per orbital
         h2_psi = apply(h_psi)
-        m1, m2, m3 = self._moments(orbitals, h_psi, h2_psi)
-        taus = np.full(orbitals.n_orbitals, _FALLBACK_STEP)
-        for m in range(orbitals.n_orbitals):
+        # plain floats: the same IEEE arithmetic as numpy scalars, at less cost
+        m1, m2, m3 = (m.tolist() for m in self._moments(psi, h_psi, h2_psi))
+        taus = np.full(psi.shape[0], _FALLBACK_STEP)
+        for m in range(psi.shape[0]):
             a = m2[m] ** 2 - m1[m] * m3[m]
             b = m3[m] - m1[m] * m2[m]
             c = m1[m] ** 2 - m2[m]
@@ -262,13 +289,13 @@ class _Minimizer:
             if abs(a) > 1e-300:
                 disc = b * b - 4.0 * a * c
                 if disc >= 0:
-                    root = np.sqrt(disc)
+                    root = math.sqrt(disc)
                     candidates = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
             elif abs(b) > 1e-300:
                 candidates = [-c / b]
             best, best_e = None, None
             for tau in candidates:
-                if not np.isfinite(tau) or tau <= 0:
+                if not math.isfinite(tau) or tau <= 0:
                     continue
                 denom = 1.0 - 2.0 * tau * m1[m] + tau**2 * m2[m]
                 if denom <= 1e-12:
@@ -278,18 +305,17 @@ class _Minimizer:
                     best, best_e = tau, e
             if best is not None:
                 taus[m] = best
-        shape = (-1,) + (1,) * (orbitals.psi.ndim - 1)
-        return orbitals.psi - taus.reshape(shape) * h_psi
+        shape = (-1,) + (1,) * (psi.ndim - 1)
+        return psi - taus.reshape(shape) * h_psi
 
-    def _conjugate_gradient(self, orbitals, h_psi, apply):
-        dv = orbitals.grid.volume_element
-        psi = orbitals.psi
+    def _conjugate_gradient(self, psi, h_psi, apply):
+        dv = self.dv
         new = np.empty_like(psi)
         dirs = np.empty_like(psi)
-        m1, _, _ = self._moments(orbitals, h_psi)
+        m1, _, _ = self._moments(psi, h_psi)
         shape = (1,) * (psi.ndim - 1)
         grads = h_psi - m1.reshape((-1,) + shape) * psi
-        for m in range(orbitals.n_orbitals):
+        for m in range(psi.shape[0]):
             g = grads[m]
             gg = np.vdot(g, g).real * dv
             d = -g
@@ -303,7 +329,7 @@ class _Minimizer:
             dn = np.sqrt(np.vdot(d, d).real * dv)
             dirs[m] = d / dn if dn > 1e-150 else 0.0 * d
         h_d = apply(dirs)
-        for m in range(orbitals.n_orbitals):
+        for m in range(psi.shape[0]):
             if not np.any(dirs[m]):
                 new[m] = psi[m]
                 continue
@@ -331,40 +357,49 @@ def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
     from this orbital set's density: its ``v_ion``, ``e_hartree`` and
     ``e_xc`` are used instead of assembling them again.
     """
-    grid = system.grid
-    dv = grid.volume_element
-    psi = orbitals.psi
-    occ = orbitals.occupations
-
-    lap = laplacian(psi, grid)
-    flat = psi.reshape(orbitals.n_orbitals, -1)
-    per_orb = -0.5 * np.einsum("mp,mp->m", flat.conj(),
-                               lap.reshape(orbitals.n_orbitals, -1)).real * dv
-    e_kin = float(occ @ per_orb)
-
-    rho = electron_density(orbitals)
+    lap = laplacian(orbitals.psi, system.grid)
+    density = electron_density(orbitals)
     if potential is None:
-        potential = assemble_ks(rho, system)
+        potential = assemble_ks(density, system)
+    return _energy(system.grid, cavity, orbitals.psi, orbitals.occupations, orbitals.abs2(),
+                   lap, density, potential)
+
+
+def _energy(grid, cavity: CavityMode | None, psi: np.ndarray, occupations: np.ndarray,
+            abs2: np.ndarray, lap: np.ndarray, density: Density,
+            potential: KsPotential) -> EnergyDecomposition:
+    """:func:`total_energy` from the pieces an SCF iteration has already formed.
+
+    ``abs2`` is |psi|^2, ``lap`` the Laplacian of ``psi``, and ``density``
+    and ``potential`` are the density of ``psi`` and its Kohn-Sham potential.
+    """
+    dv = grid.volume_element
+    n_orb = psi.shape[0]
+    flat = psi.reshape(n_orb, -1)
+    per_orb = -0.5 * np.einsum("mp,mp->m", flat.conj(), lap.reshape(n_orb, -1)).real * dv
+    e_kin = float(occupations @ per_orb)
+
     e_h, e_xc = potential.e_hartree, potential.e_xc
-    e_ext = float(np.sum(rho.values * potential.v_ion)) * dv
+    e_ext = float((density.values * potential.v_ion).sum()) * dv
 
     if cavity is None:
         return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, 0.0, 0.0, 0.0)
 
-    pn = photon_occupations(orbitals)
-    e_photon = cavity.omega * float(np.sum((np.arange(len(pn)) + 0.5) * pn))
+    pn = sector_probabilities(abs2, occupations, dv)
+    e_photon = cavity.omega * float(((np.arange(len(pn)) + 0.5) * pn).sum())
 
-    mu = mean_dipole_mu(rho, cavity)
+    mu = mean_dipole_mu(density, cavity)
     e_dsi = 0.5 * mu * mu
 
     e_coup = 0.0
-    if orbitals.n_sectors > 1 and np.any(cavity.lam != 0.0):
+    n_sec = psi.shape[1]
+    if n_sec > 1 and any(c != 0.0 for c in cavity.coupling):
         lam_r = coupling_field(cavity, grid)
         axes = tuple(range(2, psi.ndim))
-        cross = np.sum(psi[:, :-1].conj() * lam_r * psi[:, 1:], axis=axes) * dv
-        sq = cavity.sqrt_n[1:orbitals.n_sectors]
+        cross = (psi[:, :-1].conj() * lam_r * psi[:, 1:]).sum(axis=axes) * dv
+        sq = cavity.sqrt_n[1:n_sec]
         per = 2.0 * (cross.real @ sq)
-        e_coup = -np.sqrt(cavity.omega / 2.0) * float(occ @ per)
+        e_coup = -np.sqrt(cavity.omega / 2.0) * float(occupations @ per)
 
     return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, e_photon, e_coup, e_dsi)
 
@@ -379,16 +414,17 @@ def orbital_eigenvalues(orbitals: OrbitalSet, apply: Callable) -> np.ndarray:
 
 
 def _oscillation_count(deltas) -> int:
-    signs = np.sign([d for d in deltas if d != 0.0])
-    return int(np.sum(signs[1:] * signs[:-1] < 0))
+    """Sign changes between consecutive non-zero entries (NaN has no sign)."""
+    signs = [(d > 0) - (d < 0) for d in map(float, deltas) if d != 0.0]
+    return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
 
 
 def _alternating(values) -> bool:
     """True when the last four entries zig-zag (a period-2 cycle)."""
     if len(values) < 4:
         return False
-    d = np.diff(values[-4:])
-    return bool(d[0] * d[1] < 0 and d[1] * d[2] < 0)
+    a, b, c, d = values[-4:]
+    return (b - a) * (c - b) < 0 and (c - b) * (d - c) < 0
 
 
 def state_from_orbitals(system: ElectronSystem, cavity: CavityMode | None,
@@ -403,25 +439,47 @@ def state_from_orbitals(system: ElectronSystem, cavity: CavityMode | None,
                     iterations=0, history=[])
 
 
+def _check_initial_orbitals(orbitals: OrbitalSet, system: ElectronSystem,
+                            cavity: CavityMode | None) -> None:
+    """Raise unless ``orbitals`` belong to this system's grid, electrons and Fock space."""
+    if orbitals.grid != system.grid:
+        raise UsageError(f"initial orbitals on grid {orbitals.grid} do not match "
+                         f"the system's {system.grid}")
+    if not np.array_equal(orbitals.occupations, system.occupations):
+        raise UsageError(f"initial orbitals carry occupations {orbitals.occupations.tolist()}, "
+                         f"the system {system.occupations.tolist()}")
+    n_sectors = cavity.n_sectors if cavity is not None else 1
+    if orbitals.n_sectors != n_sectors:
+        raise UsageError(f"initial orbitals have {orbitals.n_sectors} photon sectors, "
+                         f"the cavity needs {n_sectors}")
+
+
 def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
               cfg: ScfConfig | None = None, *,
               initial_orbitals: OrbitalSet | None = None,
               log=None) -> ScfState:
     """Run the ground-state iteration to self-consistency.
 
+    ``initial_orbitals``, when given, must lie on the system's grid, carry
+    its occupations and have the cavity's number of photon sectors.
     ``log``, when given, receives one tab-separated line per iteration:
     iteration, total energy, energy change, L1 density change, and the
-    photon occupations.
+    photon occupations.  The returned state's energy is
+    :func:`total_energy` of its orbitals, the last iteration's energy bit
+    for bit.
     """
     cfg = cfg or ScfConfig()
     grid = system.grid
+    if initial_orbitals is not None:
+        _check_initial_orbitals(initial_orbitals, system, cavity)
     v_ion = external_potential(system)
     orbitals = initial_orbitals if initial_orbitals is not None else init_orbitals(
         system, cavity)
     orbitals = gram_schmidt_sectorwise(orbitals)
+    psi, occ = orbitals.psi, orbitals.occupations
 
-    minimizer = _Minimizer(cfg.minimizer, orbitals.n_orbitals)
-    rho_in = electron_density(orbitals).values
+    minimizer = _Minimizer(cfg.minimizer, len(occ), grid.volume_element)
+    rho_in = density_values(orbitals.abs2(), occ)
     mixing = cfg.mixing
     energy_prev = None
     history = []
@@ -432,7 +490,6 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     calm = 0
     rho_at_halving = np.inf
     converged = False
-    iteration = 0
 
     for iteration in range(1, cfg.max_iterations + 1):
         density_in = Density(rho_in, grid)
@@ -440,22 +497,25 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         mu = mean_dipole_mu(density_in, cavity)
         # resolved in this module at each call, where bench/tracer.py wraps it
         stepped = minimizer.step(
-            orbitals, lambda psi: apply_hamiltonian(psi, pot.total, mu, cavity, grid))
-        orbitals = gram_schmidt_sectorwise(OrbitalSet(stepped, orbitals.occupations, grid))
+            psi, lambda p: apply_hamiltonian(p, pot.total, mu, cavity, grid))
+        psi = _orthonormalized(stepped, grid)
 
-        density_out = electron_density(orbitals)
+        abs2 = np.abs(psi) ** 2
+        density_out = Density(density_values(abs2, occ), grid)
         rho_out = density_out.values
         pot_out = assemble_ks(density_out, system, v_ion=v_ion)
-        energy = total_energy(system, orbitals, cavity, potential=pot_out)
-        d_e = np.inf if energy_prev is None else energy.total - energy_prev
-        d_rho = float(np.sum(np.abs(rho_out - rho_in))) * grid.volume_element
-        pn = photon_occupations(orbitals) if cavity is not None else np.array([1.0])
+        energy = _energy(grid, cavity, psi, occ, abs2, laplacian(psi, grid), density_out,
+                         pot_out).total
+        d_e = np.inf if energy_prev is None else energy - energy_prev
+        d_rho = float(np.abs(rho_out - rho_in).sum()) * grid.volume_element
 
-        history.append({"iteration": iteration, "energy": energy.total,
+        history.append({"iteration": iteration, "energy": energy,
                         "delta_energy": d_e, "delta_density": d_rho,
                         "mixing": mixing})
         if log is not None:
-            cols = [str(iteration), f"{energy.total:.12e}", f"{d_e:.3e}",
+            pn = (photon_occupations(OrbitalSet(psi, occ, grid)) if cavity is not None
+                  else np.array([1.0]))
+            cols = [str(iteration), f"{energy:.12e}", f"{d_e:.3e}",
                     f"{d_rho:.3e}"] + [f"{p:.6e}" for p in pn]
             log("\t".join(cols))
 
@@ -465,7 +525,7 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         # the damping toward the configured value
         rho_deltas.append(d_rho)
         oscillating = False
-        if np.isfinite(d_e) and abs(d_e) > 10.0 * cfg.tol_energy:
+        if math.isfinite(d_e) and abs(d_e) > 10.0 * cfg.tol_energy:
             deltas.append(d_e)
             oscillating = len(deltas) >= 4 and _oscillation_count(deltas[-4:]) == 3
         if d_rho > 10.0 * cfg.tol_density and _alternating(rho_deltas):
@@ -494,7 +554,7 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         if converged:
             break
 
-        energy_prev = energy.total
+        energy_prev = energy
         rho_in = (1.0 - mixing) * rho_in + mixing * rho_out
 
     if not converged:
@@ -502,8 +562,8 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
             "oscillations": _oscillation_count([h["delta_energy"] for h in history[1:]]),
             "mixing_halvings": halvings,
             "final_mixing": mixing,
-            "last_delta_energy": history[-1]["delta_energy"] if history else None,
-            "last_delta_density": history[-1]["delta_density"] if history else None,
+            "last_delta_energy": history[-1]["delta_energy"],
+            "last_delta_density": history[-1]["delta_density"],
         }
         raise ConvergenceError(
             f"SCF did not converge in {cfg.max_iterations} iterations "
@@ -512,6 +572,8 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
             f"{halvings} mixing halvings)",
             history=history, diagnostics=diag)
 
+    orbitals = OrbitalSet(psi, occ, grid)
     return ScfState(orbitals=orbitals, density=density_out, potential=pot_out,
                     mu=mean_dipole_mu(density_out, cavity), cavity=cavity, system=system,
-                    energy=energy, iterations=iteration, history=history)
+                    energy=total_energy(system, orbitals, cavity, potential=pot_out),
+                    iterations=iteration, history=history)

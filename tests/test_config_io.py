@@ -207,6 +207,15 @@ n_fock = 1
         assert code == 2
         assert "ERROR ConfigurationError" in err and "[prop]" in err and named in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_scf_budget_below_one_reported(self, tmp_path, capsys, budget):
+        text = MINIMAL + f"\n[scf]\nmax_iterations = {budget}\n"
+        code = main(["scf", "--config", str(write(tmp_path, text)), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ERROR ConfigurationError" in err and "[scf]" in err and "max_iterations" in err
+        assert not (tmp_path / "run_scf.chk").exists()
+
     def test_stencil_order_is_a_system_key(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL + "fd_order = 5\n"))
         assert cfg.grid == Grid((61,), 0.4, 5)

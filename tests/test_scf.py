@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cavitydft import cavity as cavity_module
+from cavitydft import scf as scf_module
 from cavitydft.cavity import (CavityMode, OrbitalSet, electron_density, mean_dipole_mu,
                               photon_occupations, q_expectation)
-from cavitydft.errors import ConfigurationError, ConvergenceError
+from cavitydft.errors import ConfigurationError, ConvergenceError, UsageError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
 from cavitydft.scf import (ScfConfig, gram_schmidt_sectorwise, init_orbitals, scf_solve,
@@ -33,6 +35,11 @@ class TestScfConfig:
     def test_bad_minimizer(self):
         with pytest.raises(ConfigurationError):
             ScfConfig(minimizer="newton")
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_max_iterations_below_one(self, budget):
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            ScfConfig(max_iterations=budget)
 
     def test_steepest_descent_removed(self):
         with pytest.raises(ConfigurationError):
@@ -243,6 +250,23 @@ class TestScfSolve:
                          initial_orbitals=state.orbitals)
         assert abs(warm.energy.total - state.energy.total) < 1e-8
 
+    @pytest.mark.parametrize("system_kw, cavity, named", [
+        ({"occupations": [2.0]}, None, "occupations"),
+        ({"grid": Grid((121,), 0.5)}, None, "grid"),
+        ({}, CavityMode(omega=0.08, coupling=(0.05,), n_fock=1), "sectors"),
+    ], ids=["occupations", "grid", "sectors"])
+    def test_initial_orbitals_of_another_problem_rejected(self, soft_atom, system_kw,
+                                                           cavity, named):
+        # cavity-free one-electron orbitals on h = 0.4, against the changed system
+        seed = init_orbitals(soft_atom, None)
+        system = ElectronSystem(**{"grid": soft_atom.grid, "ions": soft_atom.ions,
+                                   "occupations": [1.0], **system_kw})
+        with pytest.raises(UsageError, match=f"initial orbitals.*{named}") as err:
+            scf_solve(system, cavity, ScfConfig(max_iterations=5), initial_orbitals=seed)
+        expected = {"occupations": ("[1.0]", "[2.0]"), "grid": ("h=0.4", "h=0.5"),
+                    "sectors": ("1", "2")}[named]
+        assert all(side in str(err.value) for side in expected)
+
     def test_log_lines_tab_separated(self, soft_atom):
         cav = CavityMode(omega=0.08, coupling=(0.0,), n_fock=1)
         lines = []
@@ -305,11 +329,60 @@ class TestTotalEnergy:
 
 
 class TestBitIdentity:
-    """Two small solves pinned to their iteration count and energy bits.
+    """Small solves pinned to their iteration count and energy bits.
 
     The SCF is sensitive to rounding (one ulp in a step changes the count),
     so any change on its path must leave these values exactly as they are.
+    Together the pins run both minimizers, the cavity-free and the
+    Hartree-free paths, two orbitals (the Gram-Schmidt projections), a 3D
+    grid and a solve that ends in ``ConvergenceError``.
     """
+
+    @staticmethod
+    def solve(system, cavity, **cfg):
+        state = scf_solve(system, cavity, ScfConfig(**cfg))
+        # the last iteration's energy is the returned state's, bit for bit
+        assert state.history[-1]["energy"] == state.energy.total
+        return state.iterations, float(state.energy.total).hex()
+
+    def test_cavity_free(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
+                                occupations=[1.0])
+        assert self.solve(system, None, tol_energy=1e-10, tol_density=1e-8,
+                          max_iterations=2000) == (345, "-0x1.b168792a0366cp-1")
+
+    def test_harmonic_well_two_photons(self):
+        # no Hartree, no XC: the coupling-scan path
+        system = ElectronSystem(grid=Grid((41,), 0.3), ions=[], occupations=[1.0],
+                                use_hartree=False, use_xc=False, harmonic_omega=0.5)
+        cav = CavityMode(omega=0.5, coupling=(0.05,), n_fock=2)
+        assert self.solve(system, cav, tol_energy=1e-10, tol_density=1e-8,
+                          max_iterations=4000) == (416, "0x1.ff5ba559c89b1p-2")
+
+    def test_two_orbitals(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4),
+                                ions=[Ion(2.0, (-1.0,), 1.0), Ion(1.0, (1.0,), 1.0)],
+                                occupations=[1.0, 1.0])
+        cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
+        assert self.solve(system, cav, tol_energy=1e-8, tol_density=1e-6,
+                          max_iterations=3000) == (449, "-0x1.9c0f3428c3480p+1")
+
+    def test_three_dimensional(self):
+        system = ElectronSystem(grid=Grid((9, 9, 9), 0.6),
+                                ions=[Ion(1.0, (0.0, 0.0, 0.0), 1.0)], occupations=[1.0])
+        cav = CavityMode(omega=0.3, coupling=(0.05, 0.0, 0.0), n_fock=1)
+        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65225fc889p-4")
+
+    def test_convergence_error(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
+                                occupations=[1.0])
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+        with pytest.raises(ConvergenceError) as err:
+            scf_solve(system, cav, ScfConfig(max_iterations=60, tol_energy=1e-14,
+                                             tol_density=1e-12))
+        assert len(err.value.history) == 60
+        assert float(err.value.history[-1]["energy"]).hex() == "-0x1.9cddd9dc1a594p-1"
+        assert err.value.diagnostics["mixing_halvings"] == 7
 
     def test_imaginary_time_hartree_lda_cavity(self):
         system = ElectronSystem(grid=Grid((61,), 0.4),
@@ -348,3 +421,51 @@ class TestBitIdentity:
         assert state.mu == mean_dipole_mu(rho, cav)
         assert {k: v.hex() for k, v in state.energy.as_dict().items()} == {
             k: v.hex() for k, v in energy.as_dict().items()}
+
+
+class TestWorkPerIteration:
+    """What one SCF iteration calls, counted through the module's globals."""
+
+    @pytest.mark.parametrize("minimizer", ["imaginary-time", "conjugate-gradient"])
+    @pytest.mark.parametrize("logged", [False, True], ids=["quiet", "log"])
+    def test_counts(self, monkeypatch, minimizer, logged):
+        calls = dict.fromkeys(["assemble_ks", "apply_hamiltonian", "laplacian", "total_energy",
+                               "photon_occupations", "gram_schmidt_sectorwise"], 0)
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in calls:
+            counted(scf_module, name)
+        # the Laplacian inside every H product
+        counted(cavity_module, "laplacian")
+        system = ElectronSystem(grid=Grid((41,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
+                                occupations=[1.0])
+        cav = CavityMode(omega=0.2, coupling=(0.05,), n_fock=1)
+        lines = []
+        state = scf_solve(system, cav, ScfConfig(minimizer=minimizer, max_iterations=3000),
+                          log=lines.append if logged else None)
+        n = state.iterations
+        assert len(lines) == (n if logged else 0)
+        # per iteration: the input and the output mean field, two H products
+        # and the kinetic energy's Laplacian; once per solve: the seed's and
+        # the start's orthonormalization and the returned state's energy
+        assert calls == {"assemble_ks": 2 * n, "apply_hamiltonian": 2 * n,
+                         "laplacian": 3 * n + 1, "total_energy": 1,
+                         "photon_occupations": n if logged else 0,
+                         "gram_schmidt_sectorwise": 2}
+
+    def test_no_energy_evaluation_on_failure(self, monkeypatch, soft_atom):
+        calls = []
+        original = scf_module.total_energy
+        monkeypatch.setattr(scf_module, "total_energy",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        with pytest.raises(ConvergenceError):
+            scf_solve(soft_atom, None, ScfConfig(max_iterations=4, tol_energy=1e-14,
+                                                 tol_density=1e-12))
+        assert calls == []
