@@ -76,9 +76,10 @@ _KNOWN_KEYS = {
     "scf": {
         "max_iterations": (int, "iteration budget"),
         "tol_energy": (float, "energy convergence tolerance"),
-        "tol_density": (float, "L1 density convergence tolerance"),
-        "mixing": (float, "linear density mixing in (0, 1]"),
-        "minimizer": (str, "imaginary-time | conjugate-gradient"),
+        "tol_density": (float, "L1 density change (imaginary-time) or residual norm "
+                                "(conjugate-gradient) convergence tolerance"),
+        "mixing": (float, "linear density mixing in (0, 1], imaginary-time only"),
+        "minimizer": (str, "imaginary-time | conjugate-gradient (one orbital)"),
     },
     "prop": {
         "dt": (float, "time step"),

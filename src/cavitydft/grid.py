@@ -128,6 +128,9 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     grid.check_field(f)
     weights = _laplacian_weights(grid)
     f = np.asarray(f)
+    if not np.issubdtype(f.dtype, np.inexact):
+        # integer and boolean input would be filtered, and truncated, in its own dtype
+        f = f.astype(float)
     out = np.empty(f.shape, dtype=np.result_type(f.dtype, float))
     if np.iscomplexobj(f):
         # One pass over (..., re/im) pairs: the same sums per component as

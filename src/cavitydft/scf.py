@@ -1,31 +1,41 @@
 """Self-consistent ground-state solver for cavity-coupled Kohn-Sham orbitals.
 
-One iteration: freeze the mean-field Hamiltonian built from the current
-density, take one step of the chosen minimizer on every orbital
-(imaginary time with an exact line search on the Rayleigh quotient, or
-band-by-band conjugate gradients), re-orthogonalize sector by sector, then
-mix the new density into the old one.  Convergence requires both the
-energy change and the L1 density change to stay below tolerance for two
-consecutive iterations; the converged iteration's density, potential and
-energy are the returned state.  Density mixing is damped automatically
-when the energy history starts to oscillate, which is the typical failure
-mode at larger couplings.
+Two minimizers share the seed, the energy and the returned state.
 
-The loop works on the bare orbital array psi, |psi|^2 and rho.  An
-iteration makes two mean fields (:func:`assemble_ks` of the input and of
-the output density), two products with H (:func:`apply_hamiltonian`) and
-one Laplacian, of the output orbitals, for their kinetic energy.  Its energy
-comes from :func:`_energy`, the core :func:`total_energy` also calls, with
-the |psi|^2, density and Hartree and XC terms the iteration already formed;
-P_n is formed again only for a ``log`` line.  The returned state's orbital
-set, density, potential and :func:`total_energy` are built once, after the
-loop, so its energy is the last iteration's bit for bit.  On the 161-point
-dimer with two photon sectors an iteration costs 0.28 ms (0.37-0.47 ms for
-the earlier loop, which called :func:`total_energy` every iteration); on
-the 55-point harmonic polariton with three sectors and no mean field,
-0.17-0.20 ms (0.26-0.29 ms).  Each figure is the CPU time per iteration of
-a 400-iteration solve, the minimum of three, in three alternating rounds
-on a 2-vCPU Xeon host shared with other tenants.
+``imaginary-time`` (the default) freezes the mean-field Hamiltonian built
+from the current density, takes one imaginary-time step on every orbital
+with an exact line search on the Rayleigh quotient, re-orthogonalizes
+sector by sector, then mixes the new density into the old one.
+Convergence requires both the energy change and the L1 density change to
+stay below tolerance for two consecutive iterations.  Density mixing is
+damped automatically when the energy history starts to oscillate, which is
+the typical failure mode at larger couplings.  An iteration makes two mean
+fields (:func:`assemble_ks` of the input and of the output density), two
+products with H (:func:`apply_hamiltonian`) and one Laplacian, of the
+output orbitals, for their kinetic energy.
+
+``conjugate-gradient`` minimizes the energy of one normalized orbital
+directly, by nonlinear conjugate gradients (Payne et al., Rev. Mod. Phys.
+64, 1045 (1992); Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20,
+303 (1998)), with no density mixing.  Its gradient is the residual
+c (H[rho] - <H>) phi, with H rebuilt from the orbital's own density;
+directions are Polak-Ribiere+, and each line search steps to the minimum
+of the frozen-H model along the direction, capped at unit length, with one
+secant correction on the exact directional derivative when the model step
+misses by much.  It stops when the residual norm is below ``tol_density``
+and the energy change below ``tol_energy``.  An iteration makes one or two
+mean fields, two or three H products and one Laplacian; the benchmark's
+coupling-scan atoms take 146-168 iterations and its HHG molecule 119.
+Several orbitals need an orthonormality constraint that it does not have
+yet; they raise :class:`ConfigurationError`.
+
+Both loops work on the bare orbital array psi, |psi|^2 and rho.  An
+iteration's energy comes from :func:`_energy`, the core
+:func:`total_energy` also calls, with the |psi|^2, density and Hartree and
+XC terms the iteration already formed; P_n is formed again only for a
+``log`` line.  The returned state's orbital set, density, potential and
+:func:`total_energy` are built once, after the loop, so its energy is the
+last iteration's bit for bit.
 """
 
 from __future__ import annotations
@@ -244,103 +254,48 @@ def _orthonormalized(psi: np.ndarray, grid) -> np.ndarray:
     return (work / norms[:, None, None]).reshape(psi.shape)
 
 
-class _Minimizer:
-    """Per-orbital update strategies for one frozen-Hamiltonian step.
+def _imaginary_time_step(psi: np.ndarray, apply: Callable, dv: float) -> np.ndarray:
+    """One imaginary-time step psi - tau H psi of every orbital under a frozen H.
 
-    :meth:`step` takes the orbitals as the bare array (orbitals, sectors,
-    *grid) and the Hamiltonian as a callable ``apply(psi) -> H psi``.
+    Per orbital, tau minimizes the Rayleigh quotient of (1 - tau H) phi, from
+    the moments <H>, <H^2> and <H^3>.  ``psi`` is the bare array (orbitals,
+    sectors, *grid) and ``apply(psi) -> H psi`` the Hamiltonian.
     """
-
-    def __init__(self, kind: str, n_orbitals: int, dv: float):
-        self.kind = kind
-        self.dv = dv
-        self.prev_grad = [None] * n_orbitals
-        self.prev_dir = [None] * n_orbitals
-
-    def step(self, psi: np.ndarray, apply: Callable) -> np.ndarray:
-        h_psi = apply(psi)
-        if self.kind == "imaginary-time":
-            return self._imaginary_time(psi, h_psi, apply)
-        return self._conjugate_gradient(psi, h_psi, apply)
-
-    def _moments(self, psi, h_psi, h2_psi=None):
-        n_orb = psi.shape[0]
-        flat = psi.reshape(n_orb, -1)
-        w = h_psi.reshape(n_orb, -1)
-        m1 = np.einsum("mp,mp->m", flat.conj(), w).real * self.dv
-        m2 = np.einsum("mp,mp->m", w.conj(), w).real * self.dv
-        if h2_psi is None:
-            return m1, m2, None
-        hw = h2_psi.reshape(n_orb, -1)
-        m3 = np.einsum("mp,mp->m", w.conj(), hw).real * self.dv
-        return m1, m2, m3
-
-    def _imaginary_time(self, psi, h_psi, apply):
-        # minimize the Rayleigh quotient of (1 - tau H) phi over tau per orbital
-        h2_psi = apply(h_psi)
-        # plain floats: the same IEEE arithmetic as numpy scalars, at less cost
-        m1, m2, m3 = (m.tolist() for m in self._moments(psi, h_psi, h2_psi))
-        taus = np.full(psi.shape[0], _FALLBACK_STEP)
-        for m in range(psi.shape[0]):
-            a = m2[m] ** 2 - m1[m] * m3[m]
-            b = m3[m] - m1[m] * m2[m]
-            c = m1[m] ** 2 - m2[m]
-            candidates = []
-            if abs(a) > 1e-300:
-                disc = b * b - 4.0 * a * c
-                if disc >= 0:
-                    root = math.sqrt(disc)
-                    candidates = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
-            elif abs(b) > 1e-300:
-                candidates = [-c / b]
-            best, best_e = None, None
-            for tau in candidates:
-                if not math.isfinite(tau) or tau <= 0:
-                    continue
-                denom = 1.0 - 2.0 * tau * m1[m] + tau**2 * m2[m]
-                if denom <= 1e-12:
-                    continue
-                e = (m1[m] - 2.0 * tau * m2[m] + tau**2 * m3[m]) / denom
-                if best_e is None or e < best_e:
-                    best, best_e = tau, e
-            if best is not None:
-                taus[m] = best
-        shape = (-1,) + (1,) * (psi.ndim - 1)
-        return psi - taus.reshape(shape) * h_psi
-
-    def _conjugate_gradient(self, psi, h_psi, apply):
-        dv = self.dv
-        new = np.empty_like(psi)
-        dirs = np.empty_like(psi)
-        m1, _, _ = self._moments(psi, h_psi)
-        shape = (1,) * (psi.ndim - 1)
-        grads = h_psi - m1.reshape((-1,) + shape) * psi
-        for m in range(psi.shape[0]):
-            g = grads[m]
-            gg = np.vdot(g, g).real * dv
-            d = -g
-            if self.prev_dir[m] is not None and self.prev_grad[m] > 1e-300:
-                beta = gg / self.prev_grad[m]
-                d = d + beta * self.prev_dir[m]
-            # keep the search direction orthogonal to the current orbital
-            d = d - (np.vdot(psi[m], d) * dv) * psi[m]
-            self.prev_grad[m] = gg
-            self.prev_dir[m] = d
-            dn = np.sqrt(np.vdot(d, d).real * dv)
-            dirs[m] = d / dn if dn > 1e-150 else 0.0 * d
-        h_d = apply(dirs)
-        for m in range(psi.shape[0]):
-            if not np.any(dirs[m]):
-                new[m] = psi[m]
+    h_psi = apply(psi)
+    h2_psi = apply(h_psi)
+    n_orb = psi.shape[0]
+    flat, w, hw = (a.reshape(n_orb, -1) for a in (psi, h_psi, h2_psi))
+    # plain floats: the same IEEE arithmetic as numpy scalars, at less cost
+    m1 = (np.einsum("mp,mp->m", flat.conj(), w).real * dv).tolist()
+    m2 = (np.einsum("mp,mp->m", w.conj(), w).real * dv).tolist()
+    m3 = (np.einsum("mp,mp->m", w.conj(), hw).real * dv).tolist()
+    taus = np.full(n_orb, _FALLBACK_STEP)
+    for m in range(n_orb):
+        a = m2[m] ** 2 - m1[m] * m3[m]
+        b = m3[m] - m1[m] * m2[m]
+        c = m1[m] ** 2 - m2[m]
+        candidates = []
+        if abs(a) > 1e-300:
+            disc = b * b - 4.0 * a * c
+            if disc >= 0:
+                root = math.sqrt(disc)
+                candidates = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
+        elif abs(b) > 1e-300:
+            candidates = [-c / b]
+        best, best_e = None, None
+        for tau in candidates:
+            if not math.isfinite(tau) or tau <= 0:
                 continue
-            h11 = m1[m]
-            h12 = np.vdot(psi[m], h_d[m]) * dv
-            h22 = (np.vdot(dirs[m], h_d[m]) * dv).real
-            hmat = np.array([[h11, h12], [np.conj(h12), h22]])
-            vals, vecs = np.linalg.eigh(hmat)
-            alpha, beta = vecs[:, 0]
-            new[m] = alpha * psi[m] + beta * dirs[m]
-        return new
+            denom = 1.0 - 2.0 * tau * m1[m] + tau**2 * m2[m]
+            if denom <= 1e-12:
+                continue
+            e = (m1[m] - 2.0 * tau * m2[m] + tau**2 * m3[m]) / denom
+            if best_e is None or e < best_e:
+                best, best_e = tau, e
+        if best is not None:
+            taus[m] = best
+    shape = (-1,) + (1,) * (psi.ndim - 1)
+    return psi - taus.reshape(shape) * h_psi
 
 
 def total_energy(system: ElectronSystem, orbitals: OrbitalSet,
@@ -463,23 +418,54 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     ``initial_orbitals``, when given, must lie on the system's grid, carry
     its occupations and have the cavity's number of photon sectors.
     ``log``, when given, receives one tab-separated line per iteration:
-    iteration, total energy, energy change, L1 density change, and the
-    photon occupations.  The returned state's energy is
-    :func:`total_energy` of its orbitals, the last iteration's energy bit
-    for bit.
+    iteration, total energy, energy change, the convergence measure (the
+    L1 density change for imaginary time, the residual norm for conjugate
+    gradients), and the photon occupations.  The returned state's energy
+    is :func:`total_energy` of its orbitals, the last iteration's energy
+    bit for bit.  Conjugate gradients take one orbital only; more raise
+    :class:`ConfigurationError`.
     """
     cfg = cfg or ScfConfig()
     grid = system.grid
+    if cfg.minimizer == "conjugate-gradient" and system.n_orbitals > 1:
+        raise ConfigurationError(
+            f"minimizer 'conjugate-gradient' takes one orbital, the system has "
+            f"{system.n_orbitals}; use 'imaginary-time' for several orbitals")
     if initial_orbitals is not None:
         _check_initial_orbitals(initial_orbitals, system, cavity)
     v_ion = external_potential(system)
     orbitals = initial_orbitals if initial_orbitals is not None else init_orbitals(
         system, cavity)
     orbitals = gram_schmidt_sectorwise(orbitals)
-    psi, occ = orbitals.psi, orbitals.occupations
 
-    minimizer = _Minimizer(cfg.minimizer, len(occ), grid.volume_element)
-    rho_in = density_values(orbitals.abs2(), occ)
+    solve = _mixing_loop if cfg.minimizer == "imaginary-time" else _direct_minimization
+    psi, density, pot, history = solve(system, cavity, cfg, orbitals.psi,
+                                       orbitals.occupations, v_ion, log)
+    orbitals = OrbitalSet(psi, orbitals.occupations, grid)
+    return ScfState(orbitals=orbitals, density=density, potential=pot,
+                    mu=mean_dipole_mu(density, cavity), cavity=cavity, system=system,
+                    energy=total_energy(system, orbitals, cavity, potential=pot),
+                    iterations=len(history), history=history)
+
+
+def _log_line(log, record: dict, measure: float, psi: np.ndarray, occ: np.ndarray,
+              grid, cavity: CavityMode | None) -> None:
+    """Hand ``log`` the tab-separated line of one iteration."""
+    pn = (photon_occupations(OrbitalSet(psi, occ, grid)) if cavity is not None
+          else np.array([1.0]))
+    cols = [str(record["iteration"]), f"{record['energy']:.12e}",
+            f"{record['delta_energy']:.3e}", f"{measure:.3e}"] + [f"{p:.6e}" for p in pn]
+    log("\t".join(cols))
+
+
+def _mixing_loop(system, cavity, cfg, psi, occ, v_ion, log):
+    """Imaginary-time steps under a frozen H, with damped linear density mixing.
+
+    Returns the converged orbitals, their density and potential, and the
+    history; raises :class:`ConvergenceError` when the budget runs out.
+    """
+    grid = system.grid
+    rho_in = density_values(np.abs(psi) ** 2, occ)
     mixing = cfg.mixing
     energy_prev = None
     history = []
@@ -496,8 +482,9 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         pot = assemble_ks(density_in, system, v_ion=v_ion)
         mu = mean_dipole_mu(density_in, cavity)
         # resolved in this module at each call, where bench/tracer.py wraps it
-        stepped = minimizer.step(
-            psi, lambda p: apply_hamiltonian(p, pot.total, mu, cavity, grid))
+        stepped = _imaginary_time_step(
+            psi, lambda p: apply_hamiltonian(p, pot.total, mu, cavity, grid),
+            grid.volume_element)
         psi = _orthonormalized(stepped, grid)
 
         abs2 = np.abs(psi) ** 2
@@ -513,11 +500,7 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
                         "delta_energy": d_e, "delta_density": d_rho,
                         "mixing": mixing})
         if log is not None:
-            pn = (photon_occupations(OrbitalSet(psi, occ, grid)) if cavity is not None
-                  else np.array([1.0]))
-            cols = [str(iteration), f"{energy:.12e}", f"{d_e:.3e}",
-                    f"{d_rho:.3e}"] + [f"{p:.6e}" for p in pn]
-            log("\t".join(cols))
+            _log_line(log, history[-1], d_rho, psi, occ, grid, cavity)
 
         # damp the mixing when the energy history alternates in sign or the
         # density residual settles into a period-2 cycle; changes at the
@@ -571,9 +554,103 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
             f"{diag['oscillations']} energy-sign oscillations, "
             f"{halvings} mixing halvings)",
             history=history, diagnostics=diag)
+    return psi, density_out, pot_out, history
 
-    orbitals = OrbitalSet(psi, occ, grid)
-    return ScfState(orbitals=orbitals, density=density_out, potential=pot_out,
-                    mu=mean_dipole_mu(density_out, cavity), cavity=cavity, system=system,
-                    energy=total_energy(system, orbitals, cavity, potential=pot_out),
-                    iterations=iteration, history=history)
+
+@dataclass
+class _Point:
+    """One orbital with its density, potential and energy gradient."""
+
+    psi: np.ndarray
+    abs2: np.ndarray
+    density: Density
+    pot: KsPotential
+    mu: float
+    h_mean: float
+    grad: np.ndarray
+
+
+def _direct_minimization(system, cavity, cfg, psi, occ, v_ion, log):
+    """Nonlinear conjugate gradients on the energy of one normalized orbital.
+
+    The gradient is the occupation-weighted residual c (H[rho] - <H>) phi
+    with H built from the orbital's own density, so there is no mixing.
+    Directions are Polak-Ribiere+, the old one projected onto the new
+    tangent space and dropped when the sum is not a descent direction.
+    Each line search steps to the minimum of the frozen-H quadratic model
+    along d (one more H product), capped at t |d| <= 1, then retracts by
+    normalization; when the exact directional derivative there has not
+    fallen below half its starting size, one secant step on it replaces
+    the trial point.  Energies are never compared.  The solve stops when
+    the residual norm is below ``tol_density`` and the energy change below
+    ``tol_energy``.
+    """
+    grid = system.grid
+    dv = grid.volume_element
+    weight = float(occ[0])
+
+    def dot(a, b):
+        return float(np.vdot(a, b).real) * dv
+
+    def evaluate(psi):
+        abs2 = np.abs(psi) ** 2
+        density = Density(density_values(abs2, occ), grid)
+        pot = assemble_ks(density, system, v_ion=v_ion)
+        mu = mean_dipole_mu(density, cavity)
+        # resolved in this module at each call, where bench/tracer.py wraps it
+        h_psi = apply_hamiltonian(psi, pot.total, mu, cavity, grid)
+        h_mean = dot(psi, h_psi)
+        return _Point(psi, abs2, density, pot, mu, h_mean, weight * (h_psi - h_mean * psi))
+
+    def line_search(x, d):
+        h_d = apply_hamiltonian(d, x.pot.total, x.mu, cavity, grid)
+        dd = dot(d, d)
+        slope = dot(d, x.grad)
+        curvature = weight * (dot(d, h_d) - x.h_mean * dd)
+        # uncapped, the cold start's first step sends the two-electron dimer
+        # of dimer-kick to another self-consistent state, 0.049 Ha higher
+        cap = 1.0 / math.sqrt(dd)
+        t = min(-slope / curvature, cap) if curvature > 0 else cap
+        y = evaluate(_orthonormalized(x.psi + t * d, grid))
+        # the energy's derivative along the retracted path psi + t d
+        slope_t = dot(d, y.grad) / math.sqrt(1.0 + t * t * dd)
+        if abs(slope_t) < 0.5 * abs(slope) or slope_t <= slope:
+            return y, False
+        t = min(t * slope / (slope - slope_t), cap)
+        return evaluate(_orthonormalized(x.psi + t * d, grid)), True
+
+    x = evaluate(psi)
+    gg = dot(x.grad, x.grad)
+    d = -x.grad
+    energy_prev = None
+    history = []
+    secants = 0
+    for iteration in range(1, cfg.max_iterations + 1):
+        y, secant = line_search(x, d)
+        secants += secant
+        energy = _energy(grid, cavity, y.psi, occ, y.abs2, laplacian(y.psi, grid),
+                         y.density, y.pot).total
+        d_e = np.inf if energy_prev is None else energy - energy_prev
+        gg_prev, gg = gg, dot(y.grad, y.grad)
+        residual = math.sqrt(gg)
+        history.append({"iteration": iteration, "energy": energy, "delta_energy": d_e,
+                        "residual": residual, "secant": secant})
+        if log is not None:
+            _log_line(log, history[-1], residual, y.psi, occ, grid, cavity)
+        if residual < cfg.tol_density and abs(d_e) < cfg.tol_energy:
+            return y.psi, y.density, y.pot, history
+
+        beta = max(0.0, (gg - dot(y.grad, x.grad)) / gg_prev)
+        d = -y.grad + beta * (d - (np.vdot(y.psi, d) * dv) * y.psi)
+        if dot(d, y.grad) >= 0.0:
+            d = -y.grad
+        x, energy_prev = y, energy
+
+    diag = {"last_residual": history[-1]["residual"],
+            "last_delta_energy": history[-1]["delta_energy"],
+            "secant_fallbacks": secants}
+    raise ConvergenceError(
+        f"SCF did not converge in {cfg.max_iterations} iterations "
+        f"(|r|={diag['last_residual']:.3e}, |dE|={abs(diag['last_delta_energy']):.3e}, "
+        f"{secants} secant fallbacks)",
+        history=history, diagnostics=diag)

@@ -48,7 +48,9 @@ def test_every_traced_name_resolves_to_a_callable(traced_sites):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
-def test_scf_calls_its_traced_names_through_module_globals(traced_sites, monkeypatch):
+@pytest.mark.parametrize("minimizer", scf.MINIMIZERS)
+def test_scf_calls_its_traced_names_through_module_globals(traced_sites, monkeypatch,
+                                                           minimizer):
     calls = {}
     for module, attr in traced_sites:
         if module == "cavitydft.scf" and attr != "scf_solve":
@@ -62,7 +64,7 @@ def test_scf_calls_its_traced_names_through_module_globals(traced_sites, monkeyp
     system = ElectronSystem(grid=Grid((41,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
                             occupations=[1.0])
     cav = CavityMode(omega=0.2, coupling=(0.05,), n_fock=1)
-    scf.scf_solve(system, cav, scf.ScfConfig(max_iterations=3000))
+    scf.scf_solve(system, cav, scf.ScfConfig(max_iterations=3000, minimizer=minimizer))
     wrapped = {attr for module, attr in traced_sites
                if module == "cavitydft.scf" and attr != "scf_solve"}
     assert set(calls) == wrapped

@@ -131,6 +131,16 @@ class TestLaplacian:
         f = rng.standard_normal(line.shape)
         assert np.array_equal(laplacian(f, line), laplacian(f, line))
 
+    @pytest.mark.parametrize("grid", [Grid((9,), 0.7), Grid((7, 6, 5), 0.7)], ids=["1d", "3d"])
+    def test_integer_input_filtered_as_float(self, grid):
+        # an integer field is not truncated to integer sums along the way
+        f = np.arange(grid.n_points).reshape(grid.shape) ** 2
+        lap = laplacian(f, grid)
+        assert lap.dtype == np.float64
+        assert np.array_equal(lap, laplacian(f.astype(float), grid))
+        if grid.dim == 1:
+            assert lap[:3] == pytest.approx([2.0408163, 4.3152737, 4.0443797])
+
 
 def two_pass_complex_laplacian(f, grid):
     """Reference: real and imaginary parts filtered apart, axis by axis."""

@@ -442,10 +442,12 @@ class TestBothSchemes:
         return lambda cfg: qedft_propagate(free, atom_state.cavity, cfg)[:2]
 
     def test_norm_drift_raises_step_size_error(self, run):
-        # an absurdly large step makes the truncated expansion blow up
+        # an absurdly large step makes the truncated expansion blow up; the
+        # kick makes that happen on the first step, where a stationary state
+        # would drift only by its SCF residual
         with pytest.raises(StepSizeError, match=r"after 1 steps exceeds 1\.0e-10 per step; "
                                                 r"reduce dt below 5\.0$"):
-            run(PropConfig(dt=5.0, n_steps=10, norm_tol_step=1e-10))
+            run(PropConfig(dt=5.0, n_steps=10, norm_tol_step=1e-10, kick_strength=1e-3))
 
     def test_metadata_records_the_stepping(self, run):
         series, _ = run(PropConfig(dt=0.05, n_steps=12, stride=3))

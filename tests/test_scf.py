@@ -333,9 +333,9 @@ class TestBitIdentity:
 
     The SCF is sensitive to rounding (one ulp in a step changes the count),
     so any change on its path must leave these values exactly as they are.
-    Together the pins run both minimizers, the cavity-free and the
-    Hartree-free paths, two orbitals (the Gram-Schmidt projections), a 3D
-    grid and a solve that ends in ``ConvergenceError``.
+    Together the pins run the imaginary-time minimizer on the cavity-free
+    and the Hartree-free paths, two orbitals (the Gram-Schmidt projections),
+    a 3D grid and a solve that ends in ``ConvergenceError``.
     """
 
     @staticmethod
@@ -394,16 +394,6 @@ class TestBitIdentity:
         assert state.iterations == 372
         assert float(state.energy.total).hex() == "-0x1.1713268eeddadp+1"
 
-    def test_conjugate_gradient_two_photons(self):
-        system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
-                                occupations=[1.0])
-        cav = CavityMode(omega=0.2, coupling=(0.1,), n_fock=2)
-        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-11, tol_density=1e-9,
-                                                 minimizer="conjugate-gradient",
-                                                 max_iterations=2000))
-        assert state.iterations == 1019
-        assert float(state.energy.total).hex() == "-0x1.7f039abb5ec44p-1"
-
     def test_returned_state_is_its_orbitals_state(self):
         system = ElectronSystem(grid=Grid((61,), 0.4, order=5),
                                 ions=[Ion(1.0, (-1.2,), 1.0), Ion(1.0, (1.2,), 1.0)],
@@ -421,6 +411,86 @@ class TestBitIdentity:
         assert state.mu == mean_dipole_mu(rho, cav)
         assert {k: v.hex() for k, v in state.energy.as_dict().items()} == {
             k: v.hex() for k, v in energy.as_dict().items()}
+
+
+class TestDirectMinimization:
+    """``minimizer="conjugate-gradient"`` against imaginary time on the same inputs."""
+
+    @staticmethod
+    def both(system, cavity, **cfg):
+        direct = scf_solve(system, cavity, ScfConfig(minimizer="conjugate-gradient", **cfg))
+        reference = scf_solve(system, cavity, ScfConfig(**cfg))
+        assert direct.history[-1]["energy"] == direct.energy.total
+        return direct, reference
+
+    def test_two_photons_matches_imaginary_time(self):
+        system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
+                                occupations=[1.0])
+        cav = CavityMode(omega=0.2, coupling=(0.1,), n_fock=2)
+        direct, reference = self.both(system, cav, tol_energy=1e-11, tol_density=1e-9,
+                                      max_iterations=2000)
+        # 96 iterations; the mixing CG it replaced took 1019, imaginary time 937
+        assert direct.iterations <= 120
+        assert abs(direct.energy.total - reference.energy.total) <= 1e-10
+
+    def test_h2_like_dimer_order_3_matches_imaginary_time(self):
+        # the mixing CG stalled here for 4000 iterations; imaginary time takes 487
+        system = ElectronSystem(grid=Grid((61,), 0.4, order=3),
+                                ions=[Ion(1.0, (-1.2,), 1.0), Ion(1.0, (1.2,), 1.0)],
+                                occupations=[2.0])
+        cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
+        direct, reference = self.both(system, cav, tol_energy=1e-12, tol_density=1e-10,
+                                      max_iterations=4000)
+        assert direct.iterations <= 100
+        assert abs(direct.energy.total - reference.energy.total) <= 1e-10
+        assert direct.energy.total == pytest.approx(-2.181592622, abs=1e-9)
+
+    def test_secant_steps_reach_imaginary_time_state(self):
+        # the two-electron dimer: the capped model step overshoots once
+        system = ElectronSystem(grid=Grid((161,), 0.45),
+                                ions=[Ion(1.0, (-2.9,), 3.6), Ion(1.0, (2.9,), 3.6)],
+                                occupations=[2.0])
+        cav = CavityMode(omega=0.07, coupling=(0.03,), n_fock=1)
+        direct, reference = self.both(system, cav, tol_energy=1e-12, tol_density=1e-10,
+                                      max_iterations=4000)
+        assert sum(h["secant"] for h in direct.history) >= 1
+        assert direct.iterations <= 250
+        assert abs(direct.energy.total - reference.energy.total) <= 1e-10
+
+    def test_history_carries_residual(self, soft_atom):
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+        cfg = ScfConfig(minimizer="conjugate-gradient", tol_energy=1e-10, tol_density=1e-8)
+        state = scf_solve(soft_atom, cav, cfg)
+        residuals = [h["residual"] for h in state.history]
+        assert len(residuals) == state.iterations and all(r > 0 for r in residuals)
+        assert residuals[-1] < 1e-8 <= min(residuals[:-1])
+
+    def test_nonconvergence_reports_residual(self, soft_atom):
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+        with pytest.raises(ConvergenceError) as err:
+            scf_solve(soft_atom, cav, ScfConfig(minimizer="conjugate-gradient",
+                                                max_iterations=5, tol_energy=1e-14,
+                                                tol_density=1e-12))
+        history, diag = err.value.history, err.value.diagnostics
+        assert len(history) == 5
+        assert diag == {"last_residual": history[-1]["residual"],
+                        "last_delta_energy": history[-1]["delta_energy"],
+                        "secant_fallbacks": sum(h["secant"] for h in history)}
+        message = str(err.value)
+        assert f"|r|={diag['last_residual']:.3e}" in message
+        assert f"|dE|={abs(diag['last_delta_energy']):.3e}" in message
+        assert f"{diag['secant_fallbacks']} secant fallbacks" in message
+
+    @pytest.mark.parametrize("occupations", [[1.0, 1.0], [2.0, 1.0]])
+    def test_more_than_one_orbital_rejected(self, occupations):
+        # the mixing CG diverged here to E = +8.7 Ha; imaginary time converges
+        system = ElectronSystem(grid=Grid((61,), 0.4),
+                                ions=[Ion(2.0, (-1.0,), 1.0), Ion(1.0, (1.0,), 1.0)],
+                                occupations=occupations)
+        cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
+        with pytest.raises(ConfigurationError, match="imaginary-time"):
+            scf_solve(system, cav, ScfConfig(minimizer="conjugate-gradient",
+                                             max_iterations=3000))
 
 
 class TestWorkPerIteration:
@@ -452,13 +522,23 @@ class TestWorkPerIteration:
                           log=lines.append if logged else None)
         n = state.iterations
         assert len(lines) == (n if logged else 0)
-        # per iteration: the input and the output mean field, two H products
-        # and the kinetic energy's Laplacian; once per solve: the seed's and
-        # the start's orthonormalization and the returned state's energy
-        assert calls == {"assemble_ks": 2 * n, "apply_hamiltonian": 2 * n,
-                         "laplacian": 3 * n + 1, "total_energy": 1,
-                         "photon_occupations": n if logged else 0,
-                         "gram_schmidt_sectorwise": 2}
+        logs = {"photon_occupations": n if logged else 0, "total_energy": 1,
+                "gram_schmidt_sectorwise": 2}
+        if minimizer == "imaginary-time":
+            # per iteration: the input and the output mean field, two H
+            # products and the kinetic energy's Laplacian; once per solve:
+            # the seed's and the start's orthonormalization and the returned
+            # state's energy
+            assert calls == {"assemble_ks": 2 * n, "apply_hamiltonian": 2 * n,
+                             "laplacian": 3 * n + 1, **logs}
+            return
+        # the start's mean field and H product; per iteration the model's H
+        # product, the trial point's mean field and H product and the kinetic
+        # energy's Laplacian; per secant fallback one more mean field and H
+        # product
+        s = sum(h["secant"] for h in state.history)
+        assert calls == {"assemble_ks": 1 + n + s, "apply_hamiltonian": 1 + 2 * n + s,
+                         "laplacian": 2 + 3 * n + s, **logs}
 
     def test_no_energy_evaluation_on_failure(self, monkeypatch, soft_atom):
         calls = []
