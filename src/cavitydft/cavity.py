@@ -141,26 +141,13 @@ class OrbitalSet:
         """|phi_mn(r)|^2 for every orbital, sector and point, shaped like ``psi``.
 
         Formed on the first call and shared (read-only) by every later one,
-        so the norms, the density, P_n, the sector dipoles and the energy of
-        one orbital set all take the same array.
+        so the density, P_n and the energy of one orbital set all take the
+        same array.
         """
         if self._abs2 is None:
             self._abs2 = np.abs(self.psi) ** 2
             self._abs2.setflags(write=False)
         return self._abs2
-
-    def norms(self) -> np.ndarray:
-        """Full norm of each orbital, summed over sectors and space."""
-        dv = self.grid.volume_element
-        axes = tuple(range(1, self.psi.ndim))
-        return np.sqrt(np.sum(self.abs2(), axis=axes) * dv)
-
-    def normalized(self) -> "OrbitalSet":
-        norms = self.norms()
-        if np.any(norms <= 0):
-            raise UsageError("cannot normalize a zero orbital")
-        shape = (-1,) + (1,) * (self.psi.ndim - 1)
-        return OrbitalSet(self.psi / norms.reshape(shape), self.occupations, self.grid)
 
     def overlap_matrix(self) -> np.ndarray:
         """Full overlaps (Phi_m | Phi_m') including the sector sum."""
@@ -354,29 +341,6 @@ def sector_probabilities(abs2: np.ndarray, occupations: np.ndarray, dv: float) -
     return (occupations @ per) / n_el
 
 
-def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:
-    """Displacement coordinate expectation of the orbital set.
-
-    <q> = (1/sqrt(2 w)) sum_m c_m sum_n 2 sqrt(n+1) Re<phi_mn|phi_m,n+1>.
-    """
-    if orbitals.n_sectors < 2:
-        return 0.0
-    dv = orbitals.grid.volume_element
-    axes = tuple(range(2, orbitals.psi.ndim))
-    cross = np.sum(orbitals.psi[:, :-1].conj() * orbitals.psi[:, 1:], axis=axes) * dv
-    sq = cavity.sqrt_n[1:orbitals.n_sectors]
-    per_orbital = 2.0 * (cross.real @ sq)
-    return float(orbitals.occupations @ per_orbital) / np.sqrt(2.0 * cavity.omega)
-
-
-def sector_density(orbitals: OrbitalSet, n: int) -> np.ndarray:
-    """Density p_n(r) = sum_m c_m |phi_mn(r)|^2 of one photon sector."""
-    if not 0 <= n < orbitals.n_sectors:
-        raise UsageError(f"sector {n} out of range 0..{orbitals.n_sectors - 1}")
-    occ = orbitals.occupations.reshape((-1,) + (1,) * orbitals.grid.dim)
-    return np.sum(occ * np.abs(orbitals.psi[:, n]) ** 2, axis=0)
-
-
 def electron_density(orbitals: OrbitalSet) -> Density:
     """Total density rho = sum_n p_n."""
     return Density(density_values(orbitals.abs2(), orbitals.occupations), orbitals.grid)
@@ -386,21 +350,6 @@ def density_values(abs2: np.ndarray, occupations: np.ndarray) -> np.ndarray:
     """rho = sum_m c_m sum_n |phi_mn|^2 from |psi|^2 of shape (orbitals, sectors, *grid)."""
     occ = occupations.reshape((-1,) + (1,) * (abs2.ndim - 1))
     return (occ * abs2).sum(axis=(0, 1))
-
-
-def sector_dipoles(orbitals: OrbitalSet) -> np.ndarray:
-    """Dipole vector of every sector density, shape (n_sectors, dim)."""
-    grid = orbitals.grid
-    occ = orbitals.occupations.reshape((-1, 1) + (1,) * grid.dim)
-    p = np.sum(occ * orbitals.abs2(), axis=0)  # (sectors, *grid)
-    axes = tuple(range(1, p.ndim))
-    return np.stack([np.sum(p * grid.coordinate(a), axis=axes) for a in range(grid.dim)],
-                    axis=1) * grid.volume_element
-
-
-def annihilation_matrix(n_fock: int) -> np.ndarray:
-    """Lowering operator on the truncated space, a|n> = sqrt(n)|n-1>."""
-    return np.diag(np.sqrt(np.arange(1, n_fock + 1, dtype=float)), k=1)
 
 
 def ladder_commutator(n_fock: int) -> np.ndarray:

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cavity import (OrbitalSet, apply_hamiltonian, ladder_commutator, mean_dipole_mu,
+from .cavity import (OrbitalSet, SparseHamiltonian, apply_hamiltonian, coupling_field,
+                     field_free_hamiltonian, ladder_commutator, mean_dipole_mu,
                      photon_occupations)
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config
@@ -240,6 +241,14 @@ def _cmd_validate(args, cfg: RunConfig, out: Path) -> int:
     lhs = np.vdot(psi_b, ha) * grid.volume_element
     rhs = np.conj(np.vdot(psi_a, hb)) * grid.volume_element
     checks.append(("hamiltonian hermiticity", abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))))
+
+    # the operator propagation applies: the static sparse matrix plus the local term
+    v_local = pot.total
+    if cfg.cavity is not None:
+        v_local = v_local + mu * coupling_field(cfg.cavity, grid)
+    sparse_ha = SparseHamiltonian(field_free_hamiltonian(grid, cfg.cavity), v_local).apply(psi_a)
+    checks.append(("sparse operator equivalence",
+                   np.max(np.abs(sparse_ha - ha)) <= 1e-12 * np.max(np.abs(ha))))
 
     if cfg.cavity is not None and cfg.cavity.n_fock > 0:
         comm = ladder_commutator(cfg.cavity.n_fock)

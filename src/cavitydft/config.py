@@ -17,6 +17,7 @@ layer behind the ``report_ev`` flag.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .cavity import CavityMode
@@ -78,7 +79,6 @@ _KNOWN_KEYS = {
         "tol_energy": (float, "energy convergence tolerance"),
         "tol_density": (float, "L1 density change (imaginary-time) or residual norm "
                                 "(conjugate-gradient) convergence tolerance"),
-        "mixing": (float, "linear density mixing in (0, 1], imaginary-time only"),
         "minimizer": (str, "imaginary-time | conjugate-gradient (one orbital)"),
     },
     "prop": {
@@ -264,12 +264,13 @@ def parse_config(path) -> RunConfig:
             if "envelope_time" in pulse and "envelope_rule" in pulse:
                 violations.append(
                     "[prop] give either laser_envelope_time or laser_envelope_rule, not both")
-            if "envelope_rule" in pulse:
-                pulse["two_pi_envelope"] = pulse.pop("envelope_rule")
+            two_pi = pulse.pop("envelope_rule", False)
             try:
                 if "carrier" not in pulse:
                     raise ConfigurationError("laser_amplitude needs laser_carrier")
                 laser = LaserPulse(**pulse)
+                if two_pi:
+                    laser.envelope_time = 2.0 * math.pi / laser.carrier
             except ConfigurationError as exc:
                 violations.append(f"[prop] laser: {exc}")
         try:

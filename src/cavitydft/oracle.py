@@ -227,12 +227,6 @@ def normal_mode_frequencies(omega0: float, cavity: CavityMode) -> tuple:
     return float(freqs[0]), float(freqs[1])
 
 
-def harmonic_ground_energy(omega0: float, cavity: CavityMode) -> float:
-    """Zero-point energy (w+ + w-) / 2 of the quadratic model."""
-    w_minus, w_plus = normal_mode_frequencies(omega0, cavity)
-    return 0.5 * (w_minus + w_plus)
-
-
 @dataclass
 class OracleSeries:
     """Observable record of an exact propagation."""

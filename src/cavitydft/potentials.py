@@ -358,11 +358,3 @@ def assemble_ks(density: Density, system: ElectronSystem, *,
     total = v_h + v_xc + v_ion
     return KsPotential(v_hartree=v_h, v_xc=v_xc, v_ion=v_ion, total=total,
                        e_xc=e_xc, e_hartree=e_h)
-
-
-def hartree_energy_direct_1d(rho: np.ndarray, grid: Grid, softening: float) -> float:
-    """Double-sum Hartree energy oracle for small 1D grids."""
-    x = grid.axis_coordinates(0)
-    dx = x[:, None] - x[None, :]
-    kernel = 1.0 / np.sqrt(dx**2 + softening**2)
-    return 0.5 * float(rho @ kernel @ rho) * grid.h**2

@@ -58,24 +58,22 @@ TAYLOR_ORDER = 4
 class LaserPulse:
     """Continuous pulse E(t) = amplitude * sin(pi t / (6 T))^2 * sin(w_L t).
 
-    ``envelope_time`` defaults to 2/w_L; setting ``two_pi_envelope`` uses
-    2 pi / w_L instead (both conventions appear in the literature).  The
-    field is polarized along ``axis`` and enters the Hamiltonian in length
-    gauge as +E(t) r.
+    ``envelope_time`` T defaults to 2/w_L; the literature also uses
+    2 pi / w_L, which the run configuration's ``laser_envelope_rule =
+    two-pi`` sets.  The field is polarized along ``axis`` and enters the
+    Hamiltonian in length gauge as +E(t) r.
     """
 
     amplitude: float
     carrier: float
     envelope_time: float | None = None
     axis: int = 0
-    two_pi_envelope: bool = False
 
     def __post_init__(self):
         if not self.carrier > 0:
             raise ConfigurationError("laser carrier frequency must be positive")
         if self.envelope_time is None:
-            self.envelope_time = ((2.0 * np.pi / self.carrier)
-                                  if self.two_pi_envelope else 2.0 / self.carrier)
+            self.envelope_time = 2.0 / self.carrier
 
     def field(self, t: float) -> float:
         return (self.amplitude
@@ -105,28 +103,26 @@ class PropConfig:
 
 
 def taylor_step(psi: np.ndarray, apply: Callable, dt: float,
-                shifts: np.ndarray | None = None) -> np.ndarray:
-    """One Taylor step sum_j (-i dt)^j / j! H^j, j <= TAYLOR_ORDER, on an orbital stack.
+                shifts: np.ndarray) -> np.ndarray:
+    """One Taylor step of exp(-i H dt) on an orbital stack, about a shift per orbital.
 
-    ``apply(psi)`` returns H psi as a new array.  ``shifts`` holds
-    one real energy per leading orbital; when given, the expansion uses
-    H - shift and the exact phase exp(-i shift dt) is restored afterwards.
+    ``apply(psi)`` returns H psi as a new array.  ``shifts`` holds one real
+    energy per leading orbital: the expansion sum_j (-i dt)^j / j! (H -
+    shift)^j, j <= TAYLOR_ORDER, is taken and the exact phase
+    exp(-i shift dt) restored afterwards.
     """
     psi = np.asarray(psi, dtype=complex)
-    if shifts is not None:
-        shifts = np.asarray(shifts, dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
+    shifts = np.asarray(shifts, dtype=float).reshape((-1,) + (1,) * (psi.ndim - 1))
     term = psi
     out = psi.copy()
     for j in range(1, TAYLOR_ORDER + 1):
         # apply returns a new array, so the next term is formed in place
         h_term = apply(term)
-        if shifts is not None:
-            h_term -= shifts * term
+        h_term -= shifts * term
         h_term *= -1j * dt / j
         out += h_term
         term = h_term
-    if shifts is not None:
-        out *= np.exp(-1j * shifts * dt)
+    out *= np.exp(-1j * shifts * dt)
     return out
 
 
@@ -190,13 +186,20 @@ def _drive(state: ScfState, cfg: PropConfig,
         + mu^2 / 2 - (N_e - 1) w sum_n (n + 1/2) P_n,
 
     which is :func:`total_energy` for any diagonal v; the last two terms
-    belong to the Fock space and are absent without one.  Norm drift
-    beyond ``norm_tol_step`` per step raises :class:`StepSizeError`;
-    non-finite orbitals or samples abort with the last good state and the
-    series of the samples before it attached.
+    belong to the Fock space and are absent without one.  A kick or laser
+    axis outside the grid raises :class:`ConfigurationError` before the
+    first step.  Norm drift beyond ``norm_tol_step`` per step raises
+    :class:`StepSizeError`; non-finite orbitals or samples abort with the
+    last good state and the series of the samples before it attached.
     """
     system, fock = state.system, state.cavity
     grid = system.grid
+    axes_used = {"kick_axis": cfg.kick_axis}
+    if cfg.laser is not None:
+        axes_used["laser axis"] = cfg.laser.axis
+    for name, axis in axes_used.items():
+        if not 0 <= axis < grid.dim:
+            raise ConfigurationError(f"{name} {axis} is not an axis of a {grid.dim}D grid")
     dv = grid.volume_element
     kicked = delta_kick(state.orbitals, cfg.kick_strength, cfg.kick_axis)
     occ, n_el = kicked.occupations, kicked.n_electrons
@@ -322,9 +325,3 @@ def _drive(state: ScfState, cfg: PropConfig,
             record(t, psi, norms, p, rho, dipoles, mu, pot, v_diag)
 
     return series(), OrbitalSet(psi, occ, grid)
-
-
-def overlap_deviation(orbitals: OrbitalSet) -> float:
-    """Max deviation of the full overlap matrix from the identity."""
-    s = orbitals.overlap_matrix()
-    return float(np.max(np.abs(s - np.eye(orbitals.n_orbitals))))

@@ -72,30 +72,6 @@ def verlet_step(q: float, qdot: float, acc: float, omega: float, drive: float,
     return q_new, qdot + 0.5 * dt * (acc + acc_new), acc_new
 
 
-def verlet_oscillator(q0: float, qdot0: float, omega: float, drive,
-                      dt: float, n_steps: int) -> tuple:
-    """Velocity-Verlet trajectory of (d^2/dt^2 + w^2) q = drive(t).
-
-    ``drive`` maps a time to the forcing value.  Returns (t, q, qdot)
-    arrays including the initial sample.
-    """
-    t = np.arange(n_steps + 1) * dt
-    q = np.empty(n_steps + 1)
-    qd = np.empty(n_steps + 1)
-    q[0], qd[0] = q0, qdot0
-    acc = drive(0.0) - omega**2 * q0
-    for i in range(n_steps):
-        q[i + 1], qd[i + 1], acc = verlet_step(q[i], qd[i], acc, omega, drive(t[i + 1]), dt)
-    return t, q, qd
-
-
-def driven_oscillator_closed_form(q0: float, qdot0: float, omega: float,
-                                  drive_const: float, t: np.ndarray) -> np.ndarray:
-    """Exact solution for a constant drive: used as the integrator oracle."""
-    qp = drive_const / omega**2
-    return qp + (q0 - qp) * np.cos(omega * t) + (qdot0 / omega) * np.sin(omega * t)
-
-
 def initial_displacement(state: ScfState, cavity: CavityMode) -> float:
     """Static fixed point q0 = (lam . <D>) / w of the photon coordinate."""
     mu0 = mean_dipole_mu(state.density, cavity)

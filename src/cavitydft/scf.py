@@ -5,7 +5,8 @@ Two minimizers share the seed, the energy and the returned state.
 ``imaginary-time`` (the default) freezes the mean-field Hamiltonian built
 from the current density, takes one imaginary-time step on every orbital
 with an exact line search on the Rayleigh quotient, re-orthogonalizes
-sector by sector, then mixes the new density into the old one.
+sector by sector, then mixes the new density into the old one with
+weight 0.3.
 Convergence requires both the energy change and the L1 density change to
 stay below tolerance for two consecutive iterations.  Density mixing is
 damped automatically when the energy history starts to oscillate, which is
@@ -64,6 +65,8 @@ _FALLBACK_STEP = 0.1
 # enough", Parlett 1980); linearly dependent inputs are perturbed at most twice
 _GS_PASSES = 2
 _GS_RETRIES = 2
+# linear density mixing of the imaginary-time loop; halved while it oscillates
+_MIXING = 0.3
 
 
 @dataclass
@@ -73,7 +76,6 @@ class ScfConfig:
     max_iterations: int = 500
     tol_energy: float = 1e-8
     tol_density: float = 1e-6
-    mixing: float = 0.3
     minimizer: str = "imaginary-time"
 
     def __post_init__(self):
@@ -82,8 +84,6 @@ class ScfConfig:
                 f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tol_energy <= 0 or self.tol_density <= 0:
             raise ConfigurationError("SCF tolerances must be positive")
-        if not 0 < self.mixing <= 1:
-            raise ConfigurationError("mixing parameter must lie in (0, 1]")
         if self.minimizer not in MINIMIZERS:
             raise ConfigurationError(
                 f"unknown minimizer {self.minimizer!r}; choose one of {MINIMIZERS}")
@@ -129,17 +129,6 @@ class ScfState:
         if self.cavity is None:
             return np.array([1.0])
         return photon_occupations(self.orbitals)
-
-    @property
-    def truncation_suspect(self) -> bool:
-        """True when P_n fails to decay with n.
-
-        A non-decaying photon distribution means the retained Fock space is
-        too small for the state (for example deep in the ultrastrong
-        regime); results should be re-checked with a larger n_fock.
-        """
-        p = self.occupations_photon
-        return bool(np.any(np.diff(p) > 0.0))
 
 
 def seed_sector_amplitudes(n_sectors: int) -> np.ndarray:
@@ -466,7 +455,7 @@ def _mixing_loop(system, cavity, cfg, psi, occ, v_ion, log):
     """
     grid = system.grid
     rho_in = density_values(np.abs(psi) ** 2, occ)
-    mixing = cfg.mixing
+    mixing = _MIXING
     energy_prev = None
     history = []
     deltas = []
@@ -505,7 +494,7 @@ def _mixing_loop(system, cavity, cfg, psi, occ, v_ion, log):
         # damp the mixing when the energy history alternates in sign or the
         # density residual settles into a period-2 cycle; changes at the
         # convergence noise floor do not count, and a calm stretch restores
-        # the damping toward the configured value
+        # the damping toward _MIXING
         rho_deltas.append(d_rho)
         oscillating = False
         if math.isfinite(d_e) and abs(d_e) > 10.0 * cfg.tol_energy:
@@ -523,9 +512,8 @@ def _mixing_loop(system, cavity, cfg, psi, occ, v_ion, log):
         else:
             calm += 1
         # restore damping only once the residual shows real progress
-        if (calm >= 25 and mixing < cfg.mixing
-                and d_rho < 0.5 * rho_at_halving):
-            mixing = min(2.0 * mixing, cfg.mixing)
+        if calm >= 25 and mixing < _MIXING and d_rho < 0.5 * rho_at_halving:
+            mixing = min(2.0 * mixing, _MIXING)
             calm = 0
 
         if abs(d_e) < cfg.tol_energy and d_rho < cfg.tol_density:

@@ -21,12 +21,12 @@ from cavitydft.cavity import (CavityMode, OrbitalSet, apply_hamiltonian,
 from cavitydft.grid import Grid
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks, external_potential
 from cavitydft.propagate import LaserPulse, PropConfig, propagate, taylor_step
-from cavitydft.qedft import (driven_oscillator_closed_form, qedft_propagate,
-                             verlet_oscillator)
+from cavitydft.qedft import qedft_propagate
 from cavitydft.scf import ScfConfig, orbital_eigenvalues, scf_solve
 from cavitydft.spectra import (SpectrumConfig, cross_section, hhg_spectrum,
                                peak_area, polarizability, rabi_splitting,
                                sector_resolved_cross_sections)
+from reference import driven_oscillator_closed_form, verlet_oscillator
 
 # ---------------------------------------------------------------- reporting
 

@@ -57,6 +57,21 @@ omega_step = 0.001
 prefix = demo
 """
 
+CAVITY_3D = """
+[system]
+dim = 3
+points = 11
+spacing = 0.5
+occupations = 1.0
+ions =
+    1.0  0.0 0.0 0.0  1.0
+
+[cavity]
+omega = 0.1
+lambda = 0.05 0.02 0.0
+n_fock = 2
+"""
+
 
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -147,8 +162,9 @@ n_fock = 1
         ("scf", "sector_weights = 1 0.1", "sector_weights"),
         ("spectra", "hhg_window = hann", "hhg_window"),
         ("prop", "dt = 0.05\nn_steps = 10\norder = 4", "order"),  # the Taylor order is fixed
+        ("scf", "mixing = 0.3", "mixing"),  # the imaginary-time mixing is fixed at 0.3
     ], ids=["inner-steps", "scf-fd-order", "energy-shift", "fixed-step", "sector-weights",
-            "hhg-window", "taylor-order"])
+            "hhg-window", "taylor-order", "mixing"])
     def test_removed_keys_rejected(self, tmp_path, section, lines, key):
         with pytest.raises(ConfigurationError) as err:
             parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\n{lines}\n"))
@@ -430,6 +446,14 @@ class TestCli:
         assert chk1 == chk2
         assert ((out1 / "atom_scf_energy.tsv").read_text()
                 == (out2 / "atom_scf_energy.tsv").read_text())
+
+    @pytest.mark.parametrize("text", [FULL, CAVITY_3D], ids=["1d", "3d"])
+    def test_validate_checks_the_propagation_operator(self, tmp_path, capsys, text):
+        code = main(["validate", "--config", str(write(tmp_path, text)),
+                     "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS sparse operator equivalence" in out.splitlines()
 
     def test_validate_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         scratch = tmp_path / "tmp"

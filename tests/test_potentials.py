@@ -7,9 +7,9 @@ import cavitydft.potentials as potentials
 from cavitydft.errors import ConfigurationError
 from cavitydft.grid import Grid, d2_stencil, integrate, laplacian
 from cavitydft.potentials import (Density, ElectronSystem, Ion, assemble_ks,
-                                  external_potential, hartree_energy_direct_1d,
-                                  hartree_potential, hartree_potential_1d,
+                                  external_potential, hartree_potential, hartree_potential_1d,
                                   hartree_potential_3d, ionic_potential, lda_xc)
+from reference import hartree_energy_direct_1d
 
 
 @pytest.fixture

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, apply_hamiltonian,
-                              electron_density, mean_dipole_mu, photon_occupations,
-                              q_expectation, sector_dipoles)
+                              electron_density, mean_dipole_mu, photon_occupations)
+from cavitydft.config import parse_config
 from cavitydft.errors import ConfigurationError, PropagationAborted, StepSizeError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
-from cavitydft.propagate import (LaserPulse, PropConfig, delta_kick,
-                                 overlap_deviation, propagate, taylor_step)
+from cavitydft.propagate import LaserPulse, PropConfig, delta_kick, propagate, taylor_step
 from cavitydft.qedft import initial_displacement, photon_exchange_potential, qedft_propagate
 from cavitydft.scf import ScfConfig, orbital_eigenvalues, scf_solve, total_energy
+from reference import q_expectation, sector_dipoles
 
 # the package re-exports functions whose names shadow their modules
 propagate_module = sys.modules["cavitydft.propagate"]
@@ -43,9 +43,15 @@ class TestLaserPulse:
         pulse = LaserPulse(amplitude=0.005, carrier=0.057)
         assert pulse.envelope_time == pytest.approx(2.0 / 0.057)
 
-    def test_two_pi_rule(self):
-        pulse = LaserPulse(amplitude=0.005, carrier=0.057, two_pi_envelope=True)
-        assert pulse.envelope_time == pytest.approx(2 * np.pi / 0.057)
+    def test_two_pi_rule(self, tmp_path):
+        # the two-pi rule is a run-configuration key that sets envelope_time
+        path = tmp_path / "run.cfg"
+        path.write_text("[system]\ndim = 1\npoints = 21\nspacing = 0.4\noccupations = 1.0\n"
+                        "[prop]\ndt = 0.05\nn_steps = 10\nlaser_amplitude = 0.005\n"
+                        "laser_carrier = 0.057\nlaser_envelope_rule = two-pi\n")
+        pulse = parse_config(path).prop.laser
+        assert pulse.envelope_time == 2 * np.pi / 0.057
+        assert pulse.field(7.3) == LaserPulse(0.005, 0.057, 2 * np.pi / 0.057).field(7.3)
 
     def test_field_form(self):
         pulse = LaserPulse(amplitude=0.01, carrier=0.1, envelope_time=20.0)
@@ -71,7 +77,7 @@ class TestTaylorStep:
         g = Grid((31,), 0.3)
         rng = np.random.default_rng(0)
         psi = rng.standard_normal((1, 1) + g.shape) * (1 + 0j)
-        out = taylor_step(psi, np.zeros_like, 0.1)
+        out = taylor_step(psi, np.zeros_like, 0.1, np.zeros(1))
         assert np.allclose(out, psi, atol=1e-15)
 
     def test_scalar_phase_truncation_error(self):
@@ -85,7 +91,7 @@ class TestTaylorStep:
         t_kin = (1.0 - np.cos(np.pi / (n + 1))) / h**2
         z = t_kin + v
         dt = 1.0
-        out = taylor_step(psi, ctx, dt)
+        out = taylor_step(psi, ctx, dt, np.zeros(1))
         phase_err = np.max(np.abs(out - np.exp(-1j * z * dt) * psi))
         expected = abs(z * dt) ** 5 / 120.0
         assert phase_err == pytest.approx(expected, rel=0.1)
@@ -102,7 +108,7 @@ class TestTaylorStep:
         psi = atom_state.orbitals.psi.copy()
         dt, n = 0.05, 1000
         for _ in range(n):
-            psi = taylor_step(psi, ctx, dt)
+            psi = taylor_step(psi, ctx, dt, np.zeros(len(psi)))
         ov = np.vdot(atom_state.orbitals.psi, psi) * g.volume_element
         assert abs(abs(ov) - 1.0) < 1e-8
         phase_err = np.angle(ov * np.exp(1j * eps * dt * n))
@@ -116,7 +122,9 @@ class TestDeltaKick:
 
     def test_norm_preserved_exactly(self, atom_state):
         out = delta_kick(atom_state.orbitals, 0.37)
-        assert np.allclose(out.norms(), atom_state.orbitals.norms(), atol=1e-15)
+        dv = atom_state.system.grid.volume_element
+        norms = [np.sqrt(o.abs2().sum(axis=(1, 2)) * dv) for o in (out, atom_state.orbitals)]
+        assert np.allclose(*norms, atol=1e-15)
 
     def test_momentum_boost(self):
         g = Grid((201,), 0.25)
@@ -144,7 +152,7 @@ class TestPropagate:
         assert np.max(np.abs(series["q"] - series["q"][0])) < 1e-7
         assert np.max(np.abs(series["norm"] - 1.0)) < 1e-10
         assert np.max(np.abs(series["E"] - series["E"][0])) < 1e-9
-        assert overlap_deviation(final) < 1e-8
+        assert np.max(np.abs(final.overlap_matrix() - np.eye(final.n_orbitals))) < 1e-8
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_ground_state_stationary_under_its_own_stencil(self, order):
@@ -457,6 +465,24 @@ class TestBothSchemes:
         # the drift over every step bounds the drift of the recorded samples
         recorded = np.max(np.abs(series["norm"] - series["norm"][0]))
         assert 0.999 * recorded <= float(series.meta["max_norm_drift"]) < 1e-10
+
+    @pytest.mark.parametrize("kick_axis, laser_axis", [(-1, None), (1, None), (0, 2), (0, -1)],
+                             ids=["kick-negative", "kick-beyond", "laser-beyond",
+                                  "laser-negative"])
+    def test_axis_outside_the_grid_rejected(self, run, monkeypatch, kick_axis, laser_axis):
+        # raised before the first step: no Taylor step is taken
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(propagate_module, "taylor_step", no_step)
+        laser = None
+        name, axis = "kick_axis", kick_axis
+        if laser_axis is not None:
+            laser = LaserPulse(amplitude=0.001, carrier=0.06, axis=laser_axis)
+            name, axis = "laser axis", laser_axis
+        message = f"^{name} {axis} is not an axis of a 1D grid$"
+        with pytest.raises(ConfigurationError, match=message):
+            run(PropConfig(dt=0.05, n_steps=3, kick_strength=1e-3, kick_axis=kick_axis,
+                           laser=laser))
 
     @pytest.mark.parametrize("n_steps, stride", [(12, 3), (7, 2), (5, 1)])
     def test_hot_loop_counts(self, run, monkeypatch, n_steps, stride):

@@ -9,10 +9,10 @@ from cavitydft.potentials import Density, ElectronSystem, Ion
 from cavitydft import qedft
 from cavitydft.errors import PropagationAborted, UsageError
 from cavitydft.propagate import LaserPulse, PropConfig
-from cavitydft.qedft import (PhotonOscillator, driven_oscillator_closed_form,
-                             initial_displacement, photon_exchange_potential,
-                             qedft_propagate, verlet_oscillator)
+from cavitydft.qedft import (PhotonOscillator, initial_displacement, photon_exchange_potential,
+                             qedft_propagate)
 from cavitydft.scf import ScfConfig, scf_solve
+from reference import driven_oscillator_closed_form, verlet_oscillator
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,6 @@ def ks_state():
     ions = [Ion(1.0, (-1.0,), 1.0), Ion(0.6, (1.0,), 1.0)]
     system = ElectronSystem(grid=g, ions=ions, occupations=[2.0])
     return scf_solve(system, None, ScfConfig(tol_energy=1e-11, tol_density=5e-8,
-                                             mixing=0.4,
                                              minimizer="conjugate-gradient",
                                              max_iterations=8000))
 
