@@ -1,30 +1,24 @@
-"""Versioned binary checkpoints: orbitals, their grid and their cavity.
+"""Versioned checkpoints: orbitals, their grid and their cavity, for ``propagate``.
 
-That is what ``propagate`` reads back; the command line checks the grid and
-the cavity against the run configuration.  Layout (little-endian throughout):
-an 8-byte magic string, a version integer, grid metadata (stencil order
-included), cavity metadata, the orbital and sector counts, then the
-occupation and orbital arrays in C order.  Round trips are bit-exact.
+A checkpoint is one ``np.savez`` archive with the keys ``version``, ``shape``,
+``h``, ``order``, ``occupations`` and ``psi``, plus ``omega``, ``coupling`` and
+``n_fock`` when there is a cavity.  Round trips are bit-exact, and numpy dates
+every entry 1980-01-01, so one state always gives the same bytes.  Anything
+else read as a checkpoint raises :class:`UsageError`.
 """
 
 from __future__ import annotations
 
-import struct
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cavity import CavityMode, OrbitalSet
-from .errors import UsageError
+from .errors import CavityDftError, UsageError
 from .grid import Grid
 
-MAGIC = b"CVDFTCHK"
-VERSION = 3
-
-_HEAD = struct.Struct("<8sI")
-_GEOM = struct.Struct("<Id3qI")         # dim, h, shape (padded to 3), stencil order
-_CAV = struct.Struct("<Bd3dI")          # has_cavity, omega, lambda (padded), n_fock
-_STATE = struct.Struct("<II")           # n_orbitals, n_sectors
+VERSION = 4
 
 
 @dataclass
@@ -38,38 +32,36 @@ class Checkpoint:
 def save_checkpoint(path, chk: Checkpoint) -> None:
     orb = chk.orbitals
     grid = orb.grid
-    shape3 = list(grid.shape) + [0] * (3 - grid.dim)
-    lam3 = ([*chk.cavity.lam] if chk.cavity is not None else []) + [0.0] * 3
+    arrays = {"version": VERSION, "shape": grid.shape, "h": grid.h, "order": grid.order,
+              "occupations": orb.occupations, "psi": orb.psi}
+    if chk.cavity is not None:
+        arrays.update(omega=chk.cavity.omega, coupling=chk.cavity.coupling,
+                      n_fock=chk.cavity.n_fock)
+    # an open file, so that np.savez does not append ".npz" to the name
     with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(MAGIC, VERSION))
-        fh.write(_GEOM.pack(grid.dim, grid.h, *shape3[:3], grid.order))
-        fh.write(_CAV.pack(
-            1 if chk.cavity is not None else 0,
-            chk.cavity.omega if chk.cavity is not None else 0.0,
-            *lam3[:3],
-            chk.cavity.n_fock if chk.cavity is not None else 0))
-        fh.write(_STATE.pack(orb.n_orbitals, orb.n_sectors))
-        fh.write(np.ascontiguousarray(orb.occupations, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(orb.psi, dtype="<c16").tobytes())
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic, version = _HEAD.unpack(fh.read(_HEAD.size))
-        if magic != MAGIC:
-            raise UsageError(f"{path} is not a cavitydft checkpoint")
+    if not zipfile.is_zipfile(path):
+        raise UsageError(f"no numpy archive at {path}, so no cavitydft checkpoint")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = dict(archive)
+        version = arrays["version"].tolist()
         if version != VERSION:
             raise UsageError(f"unsupported checkpoint version {version}")
-        dim, h, *shape3, order = _GEOM.unpack(fh.read(_GEOM.size))
-        grid = Grid(tuple(shape3[:dim]), h, order)
-        has_cav, omega, lx, ly, lz, n_fock = _CAV.unpack(fh.read(_CAV.size))
+        grid = Grid(tuple(arrays["shape"].tolist()), float(arrays["h"]), int(arrays["order"]))
         cavity = None
-        if has_cav:
-            cavity = CavityMode(omega=omega, coupling=tuple([lx, ly, lz][:dim]),
-                                n_fock=n_fock)
-        n_orb, n_sec = _STATE.unpack(fh.read(_STATE.size))
-        occ = np.frombuffer(fh.read(8 * n_orb), dtype="<f8").copy()
-        count = n_orb * n_sec * grid.n_points
-        psi = np.frombuffer(fh.read(16 * count), dtype="<c16").copy()
-        psi = psi.reshape((n_orb, n_sec) + grid.shape)
-    return Checkpoint(orbitals=OrbitalSet(psi, occ, grid), cavity=cavity)
+        if "omega" in arrays:
+            cavity = CavityMode(omega=float(arrays["omega"]),
+                                coupling=tuple(arrays["coupling"].tolist()),
+                                n_fock=int(arrays["n_fock"]))
+        orbitals = OrbitalSet(arrays["psi"], arrays["occupations"], grid)
+    # zipfile and np.load raise any of these on a damaged archive, the
+    # constructors the others on contents that do not fit together
+    except (OSError, EOFError, zipfile.BadZipFile, NotImplementedError, RuntimeError,
+            CavityDftError, KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a valid cavitydft checkpoint "
+                         f"({type(exc).__name__}: {exc})") from exc
+    return Checkpoint(orbitals=orbitals, cavity=cavity)

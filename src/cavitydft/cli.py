@@ -1,13 +1,17 @@
 """Command-line runner: scf, propagate, spectrum, hhg, qedft, oracle, validate.
 
 Every subcommand reads one configuration file and exits non-zero with a
-machine-readable ``ERROR <kind>: message`` line on any module error.  Every
+machine-readable ``ERROR <kind>: message`` line on any module error; a file
+it cannot read or parse (configuration, checkpoint, time series) or an
+``--out`` it cannot create exits 2 with such a line, naming the path.  Every
 text output is one ``write_table`` table whose metadata carries the config
 echo (``echoNNN = cfg <line>``); ``read_table`` reads each back.  The scf
 table holds ``iterations``, ``mu`` and every energy term, the oracle's golden
 table ``iterations``, ``energy``, ``eigenvalue`` and ``mu``, both with columns
-``n`` and ``P``.  ``propagate`` rejects a checkpoint whose grid or cavity
-differs from the configuration's.  Identical configs give bit-identical outputs.
+``n`` and ``P``.  ``propagate`` rejects a checkpoint whose cavity differs
+from the configuration's, and :func:`state_from_orbitals` orbitals on another
+grid, with other occupations or another sector count.  Identical configs give
+bit-identical outputs, checkpoints included.
 """
 
 from __future__ import annotations
@@ -47,10 +51,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, cfg, out)
-    except ConfigurationError as exc:
-        print(f"ERROR ConfigurationError: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, AnalysisError) as exc:
+    except (ConfigurationError, UsageError, AnalysisError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except CavityDftError as exc:
@@ -112,15 +113,11 @@ def _load_state(args, cfg: RunConfig, out: Path):
         raise UsageError(
             f"no scf checkpoint at {chk_path}; run the scf subcommand first")
     chk = load_checkpoint(chk_path)
-    if chk.orbitals.grid != cfg.system.grid:
-        raise UsageError(f"checkpoint grid {chk.orbitals.grid} does not match "
-                         f"the configuration's {cfg.system.grid}")
+    # grid, occupations and sector count are the orbitals' own, and
+    # state_from_orbitals checks them; omega and lambda only the cavity holds
     if chk.cavity != cfg.cavity:
         raise UsageError(f"checkpoint cavity {chk.cavity} does not match "
                          f"the configuration's {cfg.cavity}")
-    if not np.array_equal(chk.orbitals.occupations, cfg.system.occupations):
-        raise UsageError(f"checkpoint occupations {chk.orbitals.occupations.tolist()} do not "
-                         f"match the configuration's {cfg.system.occupations.tolist()}")
     return chk
 
 

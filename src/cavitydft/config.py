@@ -161,17 +161,17 @@ def _read_keys(parser: configparser.ConfigParser) -> tuple:
 def parse_config(path) -> RunConfig:
     """Read, validate, and materialize a run configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        text = fh.read()
     try:
+        with open(path) as fh:
+            text = fh.read()
         parser.read_string(text)
-    except configparser.Error as exc:
+    except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
     given, violations = _read_keys(parser)
     if violations:
         raise ConfigurationError(
-            "invalid configuration:\n  " + "\n  ".join(violations), violations)
+            f"invalid configuration in {path}:\n  " + "\n  ".join(violations), violations)
 
     # --- system ---------------------------------------------------------
     keys = given["system"]
@@ -287,7 +287,7 @@ def parse_config(path) -> RunConfig:
 
     if violations:
         raise ConfigurationError(
-            "invalid configuration:\n  " + "\n  ".join(violations), violations)
+            f"invalid configuration in {path}:\n  " + "\n  ".join(violations), violations)
 
     return RunConfig(grid=grid, system=system, cavity=cavity, scf=scf_cfg, prop=prop_cfg,
                      spectra=spec_cfg, raw_text=text, **given["output"])

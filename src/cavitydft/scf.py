@@ -373,29 +373,34 @@ def _alternating(values) -> bool:
 
 def state_from_orbitals(system: ElectronSystem, cavity: CavityMode | None,
                         orbitals: OrbitalSet) -> ScfState:
-    """Rebuild a full state (density, potential, energy) from orbitals."""
-    rho = electron_density(orbitals)
-    pot = assemble_ks(rho, system)
-    mu = mean_dipole_mu(rho, cavity)
-    energy = total_energy(system, orbitals, cavity, potential=pot)
-    return ScfState(orbitals=orbitals, density=rho, potential=pot, mu=mu,
-                    cavity=cavity, system=system, energy=energy,
-                    iterations=0, history=[])
+    """The full state (density, potential, energy) of orbitals that fit the problem."""
+    _check_orbitals(orbitals, system, cavity)
+    density = electron_density(orbitals)
+    return _state(system, cavity, orbitals, density, assemble_ks(density, system), [])
 
 
-def _check_initial_orbitals(orbitals: OrbitalSet, system: ElectronSystem,
-                            cavity: CavityMode | None) -> None:
+def _state(system: ElectronSystem, cavity: CavityMode | None, orbitals: OrbitalSet,
+           density: Density, potential: KsPotential, history: list) -> ScfState:
+    """The state of ``orbitals``, given their density and its Kohn-Sham potential."""
+    return ScfState(orbitals=orbitals, density=density, potential=potential,
+                    mu=mean_dipole_mu(density, cavity), cavity=cavity, system=system,
+                    energy=total_energy(system, orbitals, cavity, potential=potential),
+                    iterations=len(history), history=history)
+
+
+def _check_orbitals(orbitals: OrbitalSet, system: ElectronSystem,
+                    cavity: CavityMode | None) -> None:
     """Raise unless ``orbitals`` belong to this system's grid, electrons and Fock space."""
     if orbitals.grid != system.grid:
-        raise UsageError(f"initial orbitals on grid {orbitals.grid} do not match "
+        raise UsageError(f"orbitals on grid {orbitals.grid} do not match "
                          f"the system's {system.grid}")
     if not np.array_equal(orbitals.occupations, system.occupations):
-        raise UsageError(f"initial orbitals carry occupations {orbitals.occupations.tolist()}, "
+        raise UsageError(f"orbitals carry occupations {orbitals.occupations.tolist()}, "
                          f"the system {system.occupations.tolist()}")
     n_sectors = cavity.n_sectors if cavity is not None else 1
     if orbitals.n_sectors != n_sectors:
-        raise UsageError(f"initial orbitals have {orbitals.n_sectors} photon sectors, "
-                         f"the cavity needs {n_sectors}")
+        raise UsageError(f"orbitals have {orbitals.n_sectors} photon sectors, "
+                         f"the problem {n_sectors}")
 
 
 def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
@@ -421,7 +426,7 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
             f"minimizer 'conjugate-gradient' takes one orbital, the system has "
             f"{system.n_orbitals}; use 'imaginary-time' for several orbitals")
     if initial_orbitals is not None:
-        _check_initial_orbitals(initial_orbitals, system, cavity)
+        _check_orbitals(initial_orbitals, system, cavity)
     v_ion = external_potential(system)
     orbitals = initial_orbitals if initial_orbitals is not None else init_orbitals(
         system, cavity)
@@ -430,11 +435,8 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     solve = _mixing_loop if cfg.minimizer == "imaginary-time" else _direct_minimization
     psi, density, pot, history = solve(system, cavity, cfg, orbitals.psi,
                                        orbitals.occupations, v_ion, log)
-    orbitals = OrbitalSet(psi, orbitals.occupations, grid)
-    return ScfState(orbitals=orbitals, density=density, potential=pot,
-                    mu=mean_dipole_mu(density, cavity), cavity=cavity, system=system,
-                    energy=total_energy(system, orbitals, cavity, potential=pot),
-                    iterations=len(history), history=history)
+    return _state(system, cavity, OrbitalSet(psi, orbitals.occupations, grid), density, pot,
+                  history)
 
 
 def _log_line(log, record: dict, measure: float, psi: np.ndarray, occ: np.ndarray,

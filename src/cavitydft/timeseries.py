@@ -99,14 +99,19 @@ def read_table(path) -> tuple[dict, dict]:
 
     Numeric metadata values come back as ``int`` or ``float`` (exactly as
     written), the rest as strings; note lines, which carry no ' = ', are
-    skipped.  Every column is a float array.
+    skipped.  Every column is a float array.  A file that is not text, has a
+    cell that is not a number or stops inside a line raises :class:`UsageError`.
     """
     meta = {}
     names = None
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        # write_table ends every line in a newline, the last row's too
+        if text and not text.endswith("\n"):
+            raise UsageError(f"{path} stops inside a line: the table was cut short")
+        for line in text.split("\n"):
             if not line.strip():
                 continue
             if line.startswith("#"):
@@ -117,6 +122,8 @@ def read_table(path) -> tuple[dict, dict]:
                 names = line.split("\t")
             else:
                 rows.append([float(tok) for tok in line.split("\t")])
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise UsageError(f"{path} is not a text table of numbers: {exc}") from exc
     if names is None or not rows:
         raise UsageError(f"no tabular data found in {path}")
     if any(len(row) != len(names) for row in rows):

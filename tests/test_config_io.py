@@ -1,9 +1,10 @@
 import dataclasses
 import os
-import struct
+import re
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -287,20 +288,82 @@ class TestCheckpoint:
         save_checkpoint(path, Checkpoint(orbitals=orbs, cavity=None))
         assert load_checkpoint(path).orbitals.grid == Grid((31,), 0.3, order=5)
 
-    def test_version_1_rejected(self, tmp_path):
+    def _saved(self, tmp_path, cavity=None):
         path = tmp_path / "state.chk"
-        save_checkpoint(path, Checkpoint(orbitals=self._orbitals(), cavity=None))
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<I", data, 8, 1)
-        path.write_bytes(bytes(data))
+        save_checkpoint(path, Checkpoint(orbitals=self._orbitals(), cavity=cavity))
+        return path
+
+    def test_archive_keys(self, tmp_path):
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=2)
+        with zipfile.ZipFile(self._saved(tmp_path, cav)) as archive:
+            entries = archive.infolist()
+        assert [e.filename for e in entries] == [
+            f"{key}.npy" for key in ("version", "shape", "h", "order", "occupations", "psi",
+                                     "omega", "coupling", "n_fock")]
+        # a fixed date on every entry keeps one state's bytes the same
+        assert {e.date_time for e in entries} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_version_1_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**arrays, "version": 1})
         with pytest.raises(UsageError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
+        # bytes that are no numpy archive
         path = tmp_path / "junk.chk"
         path.write_bytes(b"NOTACHKP" + b"\x00" * 64)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="no numpy archive"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", ["empty", "directory", "random-bytes", "npy",
+                                      "missing-key"])
+    def test_malformed_file_rejected(self, tmp_path, case):
+        path = tmp_path / "state.chk"
+        if case == "empty":
+            path.write_bytes(b"")
+        elif case == "directory":
+            path.mkdir()
+        elif case == "random-bytes":
+            path.write_bytes(np.random.default_rng(3).bytes(4096))
+        elif case == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, self._orbitals().psi)
+        else:
+            with np.load(self._saved(tmp_path)) as archive:
+                arrays = dict(archive)
+            del arrays["occupations"]
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+        with pytest.raises(UsageError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    def test_damaged_archive_rejected(self, tmp_path):
+        # a few bytes overwritten anywhere: the archive loads or is rejected
+        data = self._saved(tmp_path).read_bytes()
+        rng = np.random.default_rng(5)
+        path = tmp_path / "damaged.chk"
+        for _ in range(500):
+            damaged = bytearray(data)
+            for at in rng.integers(len(data), size=3):
+                damaged[at] = rng.integers(256)
+            path.write_bytes(bytes(damaged))
+            try:
+                load_checkpoint(path)
+            except UsageError:
+                pass
+
+    def test_every_truncation_rejected(self, tmp_path):
+        data = self._saved(tmp_path, CavityMode(omega=0.08, coupling=(0.05,), n_fock=2)
+                           ).read_bytes()
+        path = tmp_path / "cut.chk"
+        for length in range(len(data)):
+            path.write_bytes(data[:length])
+            with pytest.raises(UsageError):
+                load_checkpoint(path)
 
 
 class TestTimeSeries:
@@ -498,6 +561,69 @@ class TestCli:
         assert "ERROR ConfigurationError" in res.stderr
 
 
+class TestCliInputFiles:
+    """Every file the command line reads ends, when unreadable, in one ERROR line and exit 2.
+
+    ``main`` runs in this process, so an exception that escapes it, the
+    traceback of a real run, fails the test.
+    """
+
+    CONFIG = MINIMAL + "\n[prop]\ndt = 0.05\nn_steps = 2\n"
+
+    @staticmethod
+    def _valid(flag, tmp_path):
+        """The bytes of a valid file for ``flag``."""
+        if flag == "--config":
+            return MINIMAL.encode()
+        if flag == "--checkpoint":
+            g = Grid((61,), 0.4)
+            psi = np.exp(-g.axis_coordinates(0) ** 2).reshape(1, 1, -1)
+            path = tmp_path / "valid.chk"
+            save_checkpoint(path, Checkpoint(OrbitalSet(psi, [1.0], g), None))
+            return path.read_bytes()
+        t = np.arange(200) * 0.1
+        path = tmp_path / "valid.tsv"
+        TimeSeries(columns={"t": t, "Dx": 1e-3 * np.sin(0.3 * t)},
+                   meta={"kick_strength": 1e-3, "kick_axis": "x",
+                         "laser_carrier": 0.3, "laser_axis": "x"}).write(path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "empty", "random-bytes",
+                                      "truncated"])
+    @pytest.mark.parametrize("command, flag", [
+        ("scf", "--config"), ("propagate", "--checkpoint"),
+        ("spectrum", "--series"), ("hhg", "--series")])
+    def test_unreadable_input(self, tmp_path, capsys, command, flag, case):
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        elif case == "empty":
+            path.write_bytes(b"")
+        elif case == "random-bytes":
+            path.write_bytes(np.random.default_rng(11).bytes(4096))
+        elif case == "truncated":
+            data = self._valid(flag, tmp_path)
+            path.write_bytes(data[:len(data) // 2])
+        argv = [command, "--out", str(tmp_path / "out")]
+        if flag == "--config":
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--config", str(write(tmp_path, self.CONFIG)), flag, str(path)]
+        code = main(argv)
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("ERROR")]
+        assert code == 2
+        assert len(errors) == 1 and str(path) in errors[0], errors
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["scf", "--config", str(write(tmp_path, MINIMAL)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("ERROR FileExistsError") and str(out) in err
+
+
 class TestCliStencilOrder:
     """The [system] fd_order reaches the SCF, the oracle and the checkpoint."""
 
@@ -620,7 +746,7 @@ class TestCliTables:
         err = capsys.readouterr().err
         assert code == 2
         assert "ERROR UsageError" in err
-        assert "checkpoint occupations [1.0] do not match the configuration's [2.0]" in err
+        assert "orbitals carry occupations [1.0], the system [2.0]" in err
         assert not (tmp_path / "atom_timeseries.tsv").exists()
 
 

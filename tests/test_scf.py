@@ -9,7 +9,7 @@ from cavitydft.errors import ConfigurationError, ConvergenceError, UsageError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
 from cavitydft.scf import (ScfConfig, gram_schmidt_sectorwise, init_orbitals, scf_solve,
-                           seed_sector_amplitudes, total_energy)
+                           seed_sector_amplitudes, state_from_orbitals, total_energy)
 from reference import q_expectation
 
 
@@ -243,7 +243,7 @@ class TestScfSolve:
         seed = init_orbitals(soft_atom, None)
         system = ElectronSystem(**{"grid": soft_atom.grid, "ions": soft_atom.ions,
                                    "occupations": [1.0], **system_kw})
-        with pytest.raises(UsageError, match=f"initial orbitals.*{named}") as err:
+        with pytest.raises(UsageError, match=f"orbitals.*{named}") as err:
             scf_solve(system, cavity, ScfConfig(max_iterations=5), initial_orbitals=seed)
         expected = {"occupations": ("[1.0]", "[2.0]"), "grid": ("h=0.4", "h=0.5"),
                     "sectors": ("1", "2")}[named]
@@ -270,6 +270,50 @@ class TestScfSolve:
                                     tol_energy=1e-9, tol_density=1e-7,
                                     max_iterations=6000))
         assert state.energy.total == pytest.approx(0.29, abs=1e-5)
+
+
+class TestStateFromOrbitals:
+    """The rebuilt state of a solve's orbitals is the solve's state, and orbitals must fit."""
+
+    CAVITY = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+
+    @pytest.fixture(scope="class")
+    def solved(self, soft_atom):
+        cfg = ScfConfig(tol_energy=1e-9, tol_density=1e-7, max_iterations=2000)
+        return {name: (cavity, scf_solve(soft_atom, cavity, cfg))
+                for name, cavity in (("cavity", self.CAVITY), ("no-cavity", None))}
+
+    @pytest.mark.parametrize("case", ["cavity", "no-cavity"])
+    def test_same_state_as_the_solve(self, soft_atom, solved, case):
+        cavity, state = solved[case]
+        rebuilt = state_from_orbitals(soft_atom, cavity, state.orbitals)
+        assert ({key: float(val).hex() for key, val in rebuilt.energy.as_dict().items()}
+                == {key: float(val).hex() for key, val in state.energy.as_dict().items()})
+        assert float(rebuilt.mu).hex() == float(state.mu).hex()
+        assert np.array_equal(rebuilt.density.values, state.density.values)
+        for name in ("v_hartree", "v_xc", "v_ion", "total"):
+            assert np.array_equal(getattr(rebuilt.potential, name),
+                                  getattr(state.potential, name)), name
+        assert (rebuilt.potential.e_hartree, rebuilt.potential.e_xc) == (
+            state.potential.e_hartree, state.potential.e_xc)
+
+    @pytest.mark.parametrize("change, sides", [
+        ("n_fock=2", ("2 photon sectors", "the problem 3")),
+        ("no-cavity", ("2 photon sectors", "the problem 1")),
+        ("two-electrons", ("[1.0]", "[2.0]")),
+    ])
+    def test_orbitals_of_another_problem_rejected(self, soft_atom, solved, change, sides):
+        # the orbitals of the n_fock = 1 cavity solve, under another problem
+        system, cavity = soft_atom, None
+        if change == "n_fock=2":
+            cavity = CavityMode(omega=0.08, coupling=(0.05,), n_fock=2)
+        elif change == "two-electrons":
+            system = ElectronSystem(grid=soft_atom.grid, ions=soft_atom.ions,
+                                    occupations=[2.0])
+            cavity = self.CAVITY
+        with pytest.raises(UsageError, match="orbitals") as err:
+            state_from_orbitals(system, cavity, solved["cavity"][1].orbitals)
+        assert all(side in str(err.value) for side in sides)
 
 
 class TestTotalEnergy:
