@@ -9,6 +9,13 @@ which connects n to n +- 1 through the ladder algebra
 
 Couplings that would leave the retained space are dropped, which keeps the
 truncated operator Hermitian.
+
+The Hamiltonian has one implementation: :func:`field_free_hamiltonian`
+builds its static part as a sparse matrix, and :class:`SparseHamiltonian`
+writes the local potential into that matrix's diagonal.  Propagation keeps
+one per run; :func:`apply_hamiltonian`, which the SCF calls, keeps a few,
+one per (grid, cavity), and an H product costs one sparse product either
+way.
 """
 
 from __future__ import annotations
@@ -21,8 +28,14 @@ from scipy import sparse
 
 from . import grid as gridmod
 from .errors import ConfigurationError, GridMismatchError, UsageError
-from .grid import Grid, laplacian
+from .grid import Grid
+# kept bound here because bench/tracer.py wraps this name in this module
+from .grid import laplacian  # noqa: F401
 from .potentials import Density
+
+# operators apply_hamiltonian keeps, one per (grid, cavity); a 41^3 grid
+# with two photon sectors takes ~40 MB
+_CACHED_OPERATORS = 4
 
 
 @dataclass(frozen=True)
@@ -155,28 +168,6 @@ class OrbitalSet:
         return (flat.conj() @ flat.T) * self.grid.volume_element
 
 
-@lru_cache(maxsize=16)
-def _fock_terms(cavity: CavityMode, grid: Grid) -> tuple:
-    """The constants :func:`apply_hamiltonian` needs for one (cavity, grid).
-
-    lam.r; (n + 1/2) w shaped to broadcast over (sectors, *grid); and, when
-    the ladder coupling acts, sqrt(n) for n = 1..N_F shaped the same way
-    and the field sqrt(w/2) lam.r (``None`` for both otherwise).  Shared
-    between calls, so read-only.
-    """
-    lam_r = coupling_field(cavity, grid)
-    per_sector = (-1,) + (1,) * grid.dim
-    energies = cavity.photon_energies.reshape(per_sector)
-    sqrt_n = ladder_field = None
-    if any(c != 0.0 for c in cavity.coupling) and cavity.n_fock > 0:
-        sqrt_n = cavity.sqrt_n[1:cavity.n_sectors].reshape(per_sector)
-        ladder_field = np.sqrt(cavity.omega / 2.0) * lam_r
-    for a in (energies, sqrt_n, ladder_field):
-        if a is not None:
-            a.setflags(write=False)
-    return lam_r, energies, sqrt_n, ladder_field
-
-
 def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
                       cavity: CavityMode | None, grid: Grid) -> np.ndarray:
     """Act with the coupled one-body Hamiltonian on orbital sector stacks.
@@ -188,60 +179,34 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
 
     where terms that reference sectors outside 0..N_F are dropped.  With
     ``cavity=None`` this reduces to the plain Kohn-Sham action on a single
-    spatial stack (no sector axis handling beyond a pass-through).
+    spatial stack, and ``mu`` is not used.
 
     ``psi`` may have leading axes ``(orbitals, sectors)`` or just
     ``(sectors,)``; the trailing axes must match the grid.  An external
-    field E.r is part of ``v_local``.  The cavity's constant fields are
-    formed once per (cavity, grid).
+    field E.r is part of ``v_local``.  The product is the one propagation
+    takes: the local term V_local + mu (lam.r), formed as
+    :func:`~cavitydft.propagate.propagate` forms it, is written into the
+    :class:`SparseHamiltonian` kept for this (grid, cavity), which then
+    acts once.
     """
-    psi = np.asarray(psi, dtype=complex)
     grid.check_field(v_local)
-
-    out = laplacian(psi, grid)
-    out *= -0.5
-
-    if cavity is None:
-        out += v_local * psi
-        return out
-
-    sector_axis = psi.ndim - grid.dim - 1
-    if sector_axis < 0 or psi.shape[sector_axis] != cavity.n_sectors:
-        raise UsageError(
-            f"expected {cavity.n_sectors} Fock sectors on axis {sector_axis}, "
-            f"got shape {psi.shape}")
-
-    lam_r, energies, sqrt_n, ladder_field = _fock_terms(cavity, grid)
-    out += (v_local + mu * lam_r if mu != 0.0 else v_local) * psi
-
-    # diagonal photon energy (n + 1/2) w per sector
-    out += energies * psi
-
-    # bilinear coupling: connects n to n-1 and n+1
-    if ladder_field is not None:
-        ladder = np.zeros_like(psi)
-        space = (slice(None),) * grid.dim
-        lo = (Ellipsis, slice(1, None)) + space
-        hi = (Ellipsis, slice(None, -1)) + space
-        # sqrt(n) psi_{n-1} lands in sector n
-        ladder[lo] += sqrt_n * psi[hi]
-        # sqrt(n+1) psi_{n+1} lands in sector n
-        ladder[hi] += sqrt_n * psi[lo]
-        out -= ladder_field * ladder
-
-    return out
+    if cavity is not None and mu != 0.0:
+        v_local = v_local + mu * coupling_field(cavity, grid)
+    hamiltonian = _operator(grid, cavity)
+    hamiltonian.set_potential(v_local)
+    return hamiltonian.apply(psi)
 
 
 def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None) -> sparse.csr_array:
     """The static part of the coupled one-body Hamiltonian as one sparse matrix.
 
     It acts on one orbital flattened in (sector, grid...) C order and holds
-    the finite-difference kinetic term on every sector, (n + 1/2) w on
-    sector n, and the ladder coupling -sqrt(w/2) (lam.r) sqrt(n) between
-    sectors n - 1 and n, with the same hard walls and truncation as
-    :func:`apply_hamiltonian`.  With ``cavity=None`` it is the kinetic term
-    on one grid.  The local potential, the only part that changes during a
-    run, is left to :class:`SparseHamiltonian`.
+    the finite-difference kinetic term on every sector (hard walls: the
+    stencil sees zeros outside the box), (n + 1/2) w on sector n, and the
+    ladder coupling -sqrt(w/2) (lam.r) sqrt(n) between sectors n - 1 and n,
+    truncated at N_F.  With ``cavity=None`` it is the kinetic term on one
+    grid.  The local potential, the only part that changes during a run,
+    is left to :class:`SparseHamiltonian`.
 
     Real values and 32-bit indices take about 12 bytes per nonzero: ~1.8 MB
     at 15^3 and ~40 MB at 41^3 with the 9-point stencil and two sectors.
@@ -274,41 +239,53 @@ def field_free_hamiltonian(grid: Grid, cavity: CavityMode | None) -> sparse.csr_
 class SparseHamiltonian:
     """The coupled one-body Hamiltonian: a static matrix plus a local potential.
 
-    ``static`` comes from :func:`field_free_hamiltonian`; ``v_local`` is the
-    grid field added on every sector, V_KS + mu (lam.r) + E(t).r, so that
-    :meth:`apply` gives the result of :func:`apply_hamiltonian` with that
-    field as its local potential.
-    The potential lives on the diagonal of a private copy of ``static``, so
-    an apply is one sparse product and :meth:`set_potential` swaps the
-    potential in place, without building a new matrix.
+    The static part is :func:`field_free_hamiltonian` of ``grid`` and
+    ``cavity``; ``v_local`` is the grid field added on every sector,
+    V_KS + mu (lam.r) + E(t).r.  The potential lives on the diagonal of
+    the matrix, so an apply is one sparse product and :meth:`set_potential`
+    swaps the potential in place, without building a new matrix.
     """
 
-    def __init__(self, static: sparse.csr_array, v_local: np.ndarray):
-        matrix = sparse.csr_array(static, copy=True)
+    def __init__(self, grid: Grid, cavity: CavityMode | None, v_local: np.ndarray):
+        matrix = field_free_hamiltonian(grid, cavity)
         matrix.sum_duplicates()
         n = matrix.shape[0]
         rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        # every diagonal entry is stored: the kinetic and photon terms are positive
         diagonal = np.flatnonzero(matrix.indices == rows)
-        if len(diagonal) != n:
-            raise UsageError("the static matrix must store its whole diagonal")
         self.matrix = matrix
+        self.grid = grid
+        # the trailing axes of an operand: one orbital
+        self.operand_shape = grid.shape if cavity is None else (cavity.n_sectors,) + grid.shape
         self._diagonal = diagonal
         self._static_diagonal = matrix.data[diagonal].copy()
         self.set_potential(v_local)
 
     def set_potential(self, v_local: np.ndarray) -> None:
         """Make ``v_local`` (one grid field, added on every sector) the local potential."""
-        v = np.asarray(v_local, dtype=float).ravel()
+        v = np.asarray(v_local, dtype=float)
+        if v.shape != self.grid.shape:
+            raise GridMismatchError(
+                f"local potential of shape {v.shape} on a grid of shape {self.grid.shape}")
         self.matrix.data[self._diagonal] = (
-            self._static_diagonal.reshape(-1, v.size) + v).ravel()
+            self._static_diagonal.reshape(-1, v.size) + v.ravel()).ravel()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi for ``psi`` of shape (..., sectors, *grid) or (..., *grid) without a cavity."""
         psi = np.asarray(psi, dtype=complex)
+        if psi.shape[-len(self.operand_shape):] != self.operand_shape:
+            raise UsageError(f"H acts on trailing axes {self.operand_shape}, "
+                             f"got shape {psi.shape}")
         # one column per orbital, the real and imaginary parts side by side,
         # so the matrix stays real
         cols = np.ascontiguousarray(psi.reshape(-1, self.matrix.shape[0]).T)
         return (self.matrix @ cols.view(float)).view(complex).T.reshape(psi.shape)
+
+
+@lru_cache(maxsize=_CACHED_OPERATORS)
+def _operator(grid: Grid, cavity: CavityMode | None) -> SparseHamiltonian:
+    """The operator :func:`apply_hamiltonian` rewrites and applies for one (grid, cavity)."""
+    return SparseHamiltonian(grid, cavity, np.zeros(grid.shape))
 
 
 def mean_dipole_mu(density: Density, cavity: CavityMode | None) -> float:

@@ -15,23 +15,24 @@ energies and the ladder coupling) is built once per run as one sparse
 matrix of about 12 bytes per nonzero, ~1.8 MB at 15^3 and ~40 MB at 41^3
 with two sectors; only the diagonal potential V_KS + photon term + E(t).r
 changes from step to step.  The local potential of each step is written
-into the diagonal of one per-run copy of that matrix, so every application
-of H is one sparse product.  The loop works on the bare orbital array:
-each step forms |psi|^2 once and takes from it the norms (the drift guard
-and the finiteness check), the sector densities p_n, and from those the
-density, P_n and the sector dipoles; the mean field is one
+into the diagonal of the run's :class:`SparseHamiltonian`, so every
+application of H is one sparse product.  The SCF applies the same operator
+through :func:`~cavitydft.cavity.apply_hamiltonian`, so a converged ground
+state is stationary under the propagator.  The loop works on the bare
+orbital array: each step forms |psi|^2 once and takes from it the norms
+(the drift guard and the finiteness check), the sector densities p_n, and
+from those the density, P_n and the sector dipoles; the mean field is one
 :func:`assemble_ks` per step.  A sample adds one product of adjacent
-sectors for <q> and one product with H for the energy (see :func:`_drive`),
-so the energy of a sample costs no rebuilt Laplacian or density.  An
-:class:`OrbitalSet` is made only for the returned and the aborted state.
-A constant per-orbital energy shift (a pure phase), each orbital's
-expectation value of H at t = 0 without the laser term, conditions the
-expansion so that norm conservation is limited by the energy spread
-rather than the absolute energy scale.  The kinetic stencil is the ground
-state's ``grid.order``, the one its SCF used, so a converged state is
-stationary under the propagator.  Orbitals are never re-orthogonalized
-during propagation; what is guarded is the norm of each orbital (its
-drift per step) and the finiteness of the orbitals and of every sample.
+sectors for <q> and one product with H for the energy (see
+:func:`_drive`), so the energy of a sample costs no rebuilt Laplacian or
+density.  An :class:`OrbitalSet` is made only for the returned and the
+aborted state.  A constant per-orbital energy shift (a pure phase), each
+orbital's expectation value of H at t = 0 without the laser term,
+conditions the expansion so that norm conservation is limited by the
+energy spread rather than the absolute energy scale.  Orbitals are never
+re-orthogonalized during propagation; what is guarded is the norm of each
+orbital (its drift per step) and the finiteness of the orbitals and of
+every sample.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import (CavityMode, OrbitalSet, SparseHamiltonian, coupling_field,
-                     field_free_hamiltonian)
+from .cavity import CavityMode, OrbitalSet, SparseHamiltonian, coupling_field
 from .errors import ConfigurationError, PropagationAborted, StepSizeError
 from .potentials import Density, assemble_ks
 from .scf import ScfState, orbital_eigenvalues
@@ -290,7 +290,7 @@ def _drive(state: ScfState, cfg: PropConfig,
     p, rho, dipoles, mu = densities(abs2)
     pot = assemble_ks(Density(rho.reshape(grid.shape), grid), system, v_ion=v_ion)
     v_local = pot.total + scheme.photon_potential(mu)
-    hamiltonian = SparseHamiltonian(field_free_hamiltonian(grid, fock), v_local)
+    hamiltonian = SparseHamiltonian(grid, fock, v_local)
     shifts = orbital_eigenvalues(kicked, hamiltonian.apply).reshape(
         (-1,) + (1,) * (psi.ndim - 1))
     t = 0.0

@@ -13,7 +13,10 @@ damped automatically when the energy history starts to oscillate, which is
 the typical failure mode at larger couplings.  An iteration makes two mean
 fields (:func:`assemble_ks` of the input and of the output density), two
 products with H (:func:`apply_hamiltonian`) and one Laplacian, of the
-output orbitals, for their kinetic energy.
+output orbitals, for their kinetic energy.  H is the one operator the
+propagator applies too: each product writes the local term into the
+sparse matrix kept for the (grid, cavity) and takes one sparse product,
+with no Laplacian of its own.
 
 ``conjugate-gradient`` minimizes the energy of one normalized orbital
 directly, by nonlinear conjugate gradients (Payne et al., Rev. Mod. Phys.

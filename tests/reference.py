@@ -1,17 +1,73 @@
 """Independent references the tests compare the package against.
 
 Each function here evaluates a quantity the package computes on its own
-path (inside the propagation loop, by the 1D Hartree convolution, in the
-classical-photon scheme) by a separate, plain formula: <q> and the sector
-dipoles of an orbital set, the double-sum 1D Hartree energy, and the
-velocity-Verlet trajectory of a driven oscillator with its closed form.
+path (through its sparse Hamiltonian, inside the propagation loop, by the
+1D Hartree convolution, in the classical-photon scheme) by a separate,
+plain formula: H psi by the finite-difference stencil and sector slices,
+<q> and the sector dipoles of an orbital set, the double-sum 1D Hartree
+energy, and the velocity-Verlet trajectory of a driven oscillator with
+its closed form.
 """
 
 import numpy as np
 
-from cavitydft.cavity import CavityMode, OrbitalSet
-from cavitydft.grid import Grid
+from cavitydft.cavity import CavityMode, OrbitalSet, coupling_field
+from cavitydft.errors import UsageError
+from cavitydft.grid import Grid, laplacian
 from cavitydft.qedft import verlet_step
+
+
+def stencil_apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
+                              cavity: CavityMode | None, grid: Grid) -> np.ndarray:
+    """:func:`cavitydft.cavity.apply_hamiltonian` by the stencil, sector by sector.
+
+    Per sector n the result is
+
+        -1/2 lap(psi_n) + [V_local + mu (lam.r) + (n + 1/2) w] psi_n
+        - sqrt(w/2) (lam.r) [sqrt(n) psi_{n-1} + sqrt(n+1) psi_{n+1}]
+
+    where terms that reference sectors outside 0..N_F are dropped.  With
+    ``cavity=None`` this is the plain Kohn-Sham action on any stack of
+    spatial fields.  ``psi`` may have leading axes ``(orbitals, sectors)``
+    or just ``(sectors,)``; the trailing axes must match the grid.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    grid.check_field(v_local)
+
+    out = laplacian(psi, grid)
+    out *= -0.5
+
+    if cavity is None:
+        out += v_local * psi
+        return out
+
+    sector_axis = psi.ndim - grid.dim - 1
+    if sector_axis < 0 or psi.shape[sector_axis] != cavity.n_sectors:
+        raise UsageError(
+            f"expected {cavity.n_sectors} Fock sectors on axis {sector_axis}, "
+            f"got shape {psi.shape}")
+
+    lam_r = coupling_field(cavity, grid)
+    per_sector = (-1,) + (1,) * grid.dim
+    out += (v_local + mu * lam_r if mu != 0.0 else v_local) * psi
+
+    # diagonal photon energy (n + 1/2) w per sector
+    out += cavity.photon_energies.reshape(per_sector) * psi
+
+    # bilinear coupling: connects n to n-1 and n+1
+    if any(c != 0.0 for c in cavity.coupling) and cavity.n_fock > 0:
+        sqrt_n = cavity.sqrt_n[1:cavity.n_sectors].reshape(per_sector)
+        ladder = np.zeros_like(psi)
+        space = (slice(None),) * grid.dim
+        lo = (Ellipsis, slice(1, None)) + space
+        hi = (Ellipsis, slice(None, -1)) + space
+        # sqrt(n) psi_{n-1} lands in sector n
+        ladder[lo] += sqrt_n * psi[hi]
+        # sqrt(n+1) psi_{n+1} lands in sector n
+        ladder[hi] += sqrt_n * psi[lo]
+        out -= np.sqrt(cavity.omega / 2.0) * lam_r * ladder
+
+    return out
 
 
 def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, apply_hamiltonian,
-                              coupling_field, field_free_hamiltonian,
-                              ladder_commutator, mean_dipole_mu, photon_occupations)
-from cavitydft.errors import ConfigurationError, UsageError
+                              coupling_field, ladder_commutator, mean_dipole_mu,
+                              photon_occupations)
+from cavitydft.errors import ConfigurationError, GridMismatchError, UsageError
 from cavitydft.grid import Grid, dipole_vector, integrate, laplacian
 from cavitydft.potentials import Density
-from reference import q_expectation, sector_dipoles
+from reference import q_expectation, sector_dipoles, stencil_apply_hamiltonian
 
 
 @pytest.fixture
@@ -165,6 +165,7 @@ class TestSparseHamiltonian:
     @pytest.mark.parametrize("shape,h,lam", [((31,), 0.4, (0.3,)),
                                              ((7, 8, 9), 0.5, (0.2, -0.1, 0.15))])
     def test_matches_apply_hamiltonian(self, shape, h, lam, n_fock, order):
+        # the reference is the stencil form of apply_hamiltonian
         grid = Grid(shape, h, order)
         cav = None if n_fock is None else CavityMode(omega=0.3, coupling=lam, n_fock=n_fock)
         n_sec = 1 if cav is None else cav.n_sectors
@@ -173,27 +174,69 @@ class TestSparseHamiltonian:
                + 1j * rng.standard_normal((2, n_sec) + shape))
         v = rng.standard_normal(shape)
         mu = 0.0 if cav is None else 0.37
-        ref = apply_hamiltonian(psi, v, mu, cav, grid)
+        ref = stencil_apply_hamiltonian(psi, v, mu, cav, grid)
 
         v_local = v if cav is None else v + mu * coupling_field(cav, grid)
-        out = SparseHamiltonian(field_free_hamiltonian(grid, cav), v_local).apply(psi)
+        out = SparseHamiltonian(grid, cav, v_local).apply(psi)
         assert out.shape == psi.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_set_potential_replaces_the_local_term(self):
         grid = Grid((31,), 0.4)
         cav = CavityMode(omega=0.3, coupling=(0.3,), n_fock=2)
-        static = field_free_hamiltonian(grid, cav)
-        before = static.copy()
         rng = np.random.default_rng(3)
         psi = rng.standard_normal((1, 3, 31)) + 1j * rng.standard_normal((1, 3, 31))
         v1, v2 = rng.standard_normal((2, 31))
-        ham = SparseHamiltonian(static, v1)
+        ham = SparseHamiltonian(grid, cav, v1)
         ham.set_potential(v2)
-        assert np.array_equal(ham.apply(psi), SparseHamiltonian(static, v2).apply(psi))
-        ref = apply_hamiltonian(psi, v2, 0.0, cav, grid)
+        assert np.array_equal(ham.apply(psi), SparseHamiltonian(grid, cav, v2).apply(psi))
+        ref = stencil_apply_hamiltonian(psi, v2, 0.0, cav, grid)
         assert np.max(np.abs(ham.apply(psi) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert (static != before).nnz == 0
+
+    @pytest.mark.parametrize("coupled,shape", [(True, (2, 1, 41)), (True, (3, 41)),
+                                               (True, (41,)), (True, (2, 40)),
+                                               (False, (40,)), (False, (3, 42))])
+    def test_operand_of_another_shape_rejected(self, coupled, shape):
+        # one orbital is (sectors, *grid), or *grid without a cavity; a
+        # (2, 1, 41) operand holds as many values as one two-sector orbital
+        grid = Grid((41,), 0.4)
+        cav = CavityMode(omega=0.3, coupling=(0.1,), n_fock=1) if coupled else None
+        ham = SparseHamiltonian(grid, cav, np.zeros(grid.shape))
+        trailing = r"\(2, 41\)" if coupled else r"\(41,\)"
+        with pytest.raises(UsageError, match=f"trailing axes {trailing}"):
+            ham.apply(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 41), (40,)])
+    def test_potential_off_the_grid_rejected(self, shape):
+        grid = Grid((41,), 0.4)
+        ham = SparseHamiltonian(grid, CavityMode(omega=0.3, coupling=(0.1,), n_fock=1),
+                                np.zeros(grid.shape))
+        with pytest.raises(GridMismatchError):
+            ham.set_potential(np.zeros(shape))
+
+
+class TestOneOperator:
+    """apply_hamiltonian is the propagator's operator with the local term written in."""
+
+    @pytest.mark.parametrize("coupled", [True, False], ids=["cavity", "no-cavity"])
+    @pytest.mark.parametrize("shape,h,lam", [((41,), 0.4, (0.1,)),
+                                             ((7, 8, 9), 0.5, (0.2, -0.1, 0.15))],
+                             ids=["1d", "3d"])
+    def test_bit_identical_to_the_sparse_operator(self, shape, h, lam, coupled):
+        grid = Grid(shape, h)
+        cav = CavityMode(omega=0.3, coupling=lam, n_fock=2) if coupled else None
+        n_sec = cav.n_sectors if coupled else 1
+        rng = np.random.default_rng(7)
+        psi = (rng.standard_normal((2, n_sec) + shape)
+               + 1j * rng.standard_normal((2, n_sec) + shape))
+        v = rng.standard_normal(shape)
+        mu = 0.37
+        v_local = v + mu * coupling_field(cav, grid) if coupled else v
+        expected = SparseHamiltonian(grid, cav, v_local).apply(psi)
+        assert np.array_equal(apply_hamiltonian(psi, v, mu, cav, grid), expected)
+        # the kept operator takes each call's potential afresh
+        apply_hamiltonian(psi, 2.0 * v, -mu, cav, grid)
+        assert np.array_equal(apply_hamiltonian(psi, v, mu, cav, grid), expected)
 
 
 class TestMeanDipole:

@@ -516,7 +516,8 @@ class TestCli:
                      "--out", str(tmp_path / "out")])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "PASS sparse operator equivalence" in out.splitlines()
+        # the hermiticity check applies the operator propagation applies
+        assert "PASS hamiltonian hermiticity" in out.splitlines()
 
     def test_validate_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         scratch = tmp_path / "tmp"

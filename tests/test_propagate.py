@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, apply_hamiltonian,
-                              electron_density, mean_dipole_mu, photon_occupations)
+from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, electron_density,
+                              mean_dipole_mu, photon_occupations)
 from cavitydft.config import parse_config
 from cavitydft.errors import ConfigurationError, PropagationAborted, StepSizeError
 from cavitydft.grid import Grid, dipole_integral
@@ -14,7 +14,7 @@ from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
 from cavitydft.propagate import LaserPulse, PropConfig, delta_kick, propagate, taylor_step
 from cavitydft.qedft import initial_displacement, photon_exchange_potential, qedft_propagate
 from cavitydft.scf import ScfConfig, orbital_eigenvalues, scf_solve, total_energy
-from reference import q_expectation, sector_dipoles
+from reference import q_expectation, sector_dipoles, stencil_apply_hamiltonian
 
 # the package re-exports functions whose names shadow their modules
 propagate_module = sys.modules["cavitydft.propagate"]
@@ -23,8 +23,8 @@ scf_module = sys.modules["cavitydft.scf"]
 
 
 def stencil_hamiltonian(grid, cavity, v_local, mu):
-    """psi -> H psi by apply_hamiltonian with a frozen local potential."""
-    return functools.partial(apply_hamiltonian, v_local=v_local, mu=mu, cavity=cavity,
+    """psi -> H psi by the stencil reference with a frozen local potential."""
+    return functools.partial(stencil_apply_hamiltonian, v_local=v_local, mu=mu, cavity=cavity,
                              grid=grid)
 
 
@@ -365,7 +365,7 @@ class TestMatchesStencilReference:
 
     @staticmethod
     def stencil(g, cav, v_local, mu, cfg, t):
-        """apply_hamiltonian with the laser field of the step from ``t``."""
+        """The stencil reference with the laser field of the step from ``t``."""
         field = cfg.laser.field(t + 0.5 * cfg.dt) * g.coordinate(cfg.laser.axis)
         return stencil_hamiltonian(g, cav, v_local + field, mu)
 
