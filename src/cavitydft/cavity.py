@@ -13,9 +13,9 @@ truncated operator Hermitian.
 The Hamiltonian has one implementation: :func:`field_free_hamiltonian`
 builds its static part as a sparse matrix, and :class:`SparseHamiltonian`
 writes the local potential into that matrix's diagonal.  Propagation keeps
-one per run; :func:`apply_hamiltonian`, which the SCF calls, keeps a few,
-one per (grid, cavity), and an H product costs one sparse product either
-way.
+one per run; :func:`apply_hamiltonian`, which the SCF calls, keeps the one
+of its last (grid, cavity), and an H product costs one sparse product
+either way.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ from scipy import sparse
 from . import grid as gridmod
 from .errors import ConfigurationError, GridMismatchError, UsageError
 from .grid import Grid
-# kept bound here because bench/tracer.py wraps this name in this module
+# kept bound here because bench/run.py:trace_layers wraps this name in this module
 from .grid import laplacian  # noqa: F401
 from .potentials import Density
-
-# operators apply_hamiltonian keeps, one per (grid, cavity); a 41^3 grid
-# with two photon sectors takes ~40 MB
-_CACHED_OPERATORS = 4
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,8 @@ def apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
     takes: the local term V_local + mu (lam.r), formed as
     :func:`~cavitydft.propagate.propagate` forms it, is written into the
     :class:`SparseHamiltonian` kept for this (grid, cavity), which then
-    acts once.
+    acts once.  That operator is shared module state: the call is not
+    reentrant and not thread-safe.
     """
     grid.check_field(v_local)
     if cavity is not None and mu != 0.0:
@@ -282,7 +279,8 @@ class SparseHamiltonian:
         return (self.matrix @ cols.view(float)).view(complex).T.reshape(psi.shape)
 
 
-@lru_cache(maxsize=_CACHED_OPERATORS)
+# one SCF solve asks for one (grid, cavity) throughout, so only the last is kept
+@lru_cache(maxsize=1)
 def _operator(grid: Grid, cavity: CavityMode | None) -> SparseHamiltonian:
     """The operator :func:`apply_hamiltonian` rewrites and applies for one (grid, cavity)."""
     return SparseHamiltonian(grid, cavity, np.zeros(grid.shape))
