@@ -96,7 +96,7 @@ def _cmd_scf(args, cfg: RunConfig, out: Path) -> int:
     _write_occupations(report, {**cfg.echo(), "iterations": state.iterations,
                                 "mu": float(state.mu), **energies},
                        state.occupations_photon)
-    print(f"converged in {state.iterations} iterations, "
+    print(f"converged in {state.iterations} iterations ({state.minimizer}), "
           f"E = {state.energy.total:.10f}")
     print(f"wrote {chk_path} and {report}")
     return 0

@@ -79,7 +79,8 @@ _KNOWN_KEYS = {
         "tol_energy": (float, "energy convergence tolerance"),
         "tol_density": (float, "L1 density change (imaginary-time) or residual norm "
                                 "(conjugate-gradient) convergence tolerance"),
-        "minimizer": (str, "imaginary-time | conjugate-gradient (one orbital)"),
+        "minimizer": (str, "imaginary-time | conjugate-gradient (one orbital); empty: "
+                           "conjugate-gradient for one orbital in 1D, else imaginary-time"),
     },
     "prop": {
         "dt": (float, "time step"),

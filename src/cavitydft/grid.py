@@ -31,6 +31,18 @@ SUPPORTED_ORDERS = tuple(sorted(_D2_HALF_STENCILS))
 DEFAULT_ORDER = 9
 
 
+def components(value) -> tuple:
+    """``value`` as a tuple, a scalar as a 1-tuple, as ``np.atleast_1d`` reads it.
+
+    Tuples, lists and Python numbers take no numpy call.
+    """
+    if isinstance(value, (tuple, list)):
+        return tuple(value)
+    if isinstance(value, (int, float)):
+        return (value,)
+    return tuple(np.atleast_1d(value))
+
+
 def d2_stencil(order: int) -> np.ndarray:
     """Full symmetric second-derivative stencil for ``order`` points per axis.
 
@@ -61,7 +73,7 @@ class Grid:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in np.atleast_1d(self.shape))
+        shape = tuple(int(n) for n in components(self.shape))
         object.__setattr__(self, "shape", shape)
         if len(shape) not in (1, 3):
             raise ConfigurationError(f"grid must be 1D or 3D, got {len(shape)} axes")

@@ -53,7 +53,8 @@ class Ion:
     softening: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(p) for p in np.atleast_1d(self.position)))
+        object.__setattr__(self, "position",
+                           tuple(float(p) for p in gridmod.components(self.position)))
         if not self.softening > 0:
             raise ConfigurationError(f"ion softening must be positive, got {self.softening}")
 
@@ -92,13 +93,13 @@ class ElectronSystem:
         self.occupations = np.asarray(self.occupations, dtype=float)
         if self.occupations.ndim != 1 or len(self.occupations) == 0:
             raise ConfigurationError("occupations must be a non-empty 1D sequence")
-        if np.any(self.occupations < 0):
+        if (self.occupations < 0).any():
             raise ConfigurationError("orbital occupations must be non-negative")
         if not self.ee_softening > 0:
             raise ConfigurationError("ee_softening must be positive")
         half_box = [(n - 1) / 2.0 * self.grid.h for n in self.grid.shape]
         for ion in self.ions:
-            pos = np.atleast_1d(ion.position)
+            pos = ion.position
             if len(pos) != self.grid.dim:
                 raise ConfigurationError(
                     f"ion position {ion.position} has wrong dimension for a {self.grid.dim}D grid"

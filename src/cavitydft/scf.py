@@ -1,8 +1,11 @@
 """Self-consistent ground-state solver for cavity-coupled Kohn-Sham orbitals.
 
-Two minimizers share the seed, the energy and the returned state.
+Two minimizers share the seed, the energy and the returned state.  By
+default the problem picks one: a single orbital on a 1D grid runs
+``conjugate-gradient``, everything else ``imaginary-time``.  The
+``minimizer`` key forces either one.
 
-``imaginary-time`` (the default) freezes the mean-field Hamiltonian built
+``imaginary-time`` freezes the mean-field Hamiltonian built
 from the current density, takes one imaginary-time step on every orbital
 with an exact line search on the Rayleigh quotient, re-orthogonalizes
 sector by sector, then mixes the new density into the old one with
@@ -31,7 +34,9 @@ and the energy change below ``tol_energy``.  An iteration makes one or two
 mean fields, two or three H products and one Laplacian; the benchmark's
 coupling-scan atoms take 146-168 iterations and its HHG molecule 119.
 Several orbitals need an orthonormality constraint that it does not have
-yet; they raise :class:`ConfigurationError`.
+yet; they raise :class:`ConfigurationError`.  The default keeps 3D grids
+on imaginary time because the 3D Hartree operator is not self-adjoint, so
+there the residual is not the energy gradient.
 
 Both loops work on the bare orbital array psi, |psi|^2 and rho.  An
 iteration's energy comes from :func:`_energy`, the core
@@ -74,12 +79,19 @@ _MIXING = 0.3
 
 @dataclass
 class ScfConfig:
-    """Knobs for the ground-state iteration."""
+    """Knobs for the ground-state iteration.
+
+    ``minimizer`` is ``None`` (the default), ``"imaginary-time"`` or
+    ``"conjugate-gradient"``.  ``None`` lets the problem pick: conjugate
+    gradients for one orbital on a 1D grid, imaginary time otherwise.
+    ``tol_density`` bounds the L1 density change on the imaginary-time
+    path and the residual norm on the conjugate-gradient path.
+    """
 
     max_iterations: int = 500
     tol_energy: float = 1e-8
     tol_density: float = 1e-6
-    minimizer: str = "imaginary-time"
+    minimizer: str | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -87,7 +99,7 @@ class ScfConfig:
                 f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.tol_energy <= 0 or self.tol_density <= 0:
             raise ConfigurationError("SCF tolerances must be positive")
-        if self.minimizer not in MINIMIZERS:
+        if self.minimizer is not None and self.minimizer not in MINIMIZERS:
             raise ConfigurationError(
                 f"unknown minimizer {self.minimizer!r}; choose one of {MINIMIZERS}")
 
@@ -126,6 +138,8 @@ class ScfState:
     energy: EnergyDecomposition
     iterations: int
     history: list = field(default_factory=list)
+    # the engine that ran; None for a state rebuilt from given orbitals
+    minimizer: str | None = None
 
     @property
     def occupations_photon(self) -> np.ndarray:
@@ -383,12 +397,13 @@ def state_from_orbitals(system: ElectronSystem, cavity: CavityMode | None,
 
 
 def _state(system: ElectronSystem, cavity: CavityMode | None, orbitals: OrbitalSet,
-           density: Density, potential: KsPotential, history: list) -> ScfState:
+           density: Density, potential: KsPotential, history: list,
+           minimizer: str | None = None) -> ScfState:
     """The state of ``orbitals``, given their density and its Kohn-Sham potential."""
     return ScfState(orbitals=orbitals, density=density, potential=potential,
                     mu=mean_dipole_mu(density, cavity), cavity=cavity, system=system,
                     energy=total_energy(system, orbitals, cavity, potential=potential),
-                    iterations=len(history), history=history)
+                    iterations=len(history), history=history, minimizer=minimizer)
 
 
 def _check_orbitals(orbitals: OrbitalSet, system: ElectronSystem,
@@ -420,11 +435,13 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
     gradients), and the photon occupations.  The returned state's energy
     is :func:`total_energy` of its orbitals, the last iteration's energy
     bit for bit.  Conjugate gradients take one orbital only; more raise
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`.  The engine that ran, given by
+    :func:`_resolve_minimizer`, is the state's ``minimizer``.
     """
     cfg = cfg or ScfConfig()
     grid = system.grid
-    if cfg.minimizer == "conjugate-gradient" and system.n_orbitals > 1:
+    minimizer = _resolve_minimizer(cfg, system)
+    if minimizer == "conjugate-gradient" and system.n_orbitals > 1:
         raise ConfigurationError(
             f"minimizer 'conjugate-gradient' takes one orbital, the system has "
             f"{system.n_orbitals}; use 'imaginary-time' for several orbitals")
@@ -435,11 +452,26 @@ def scf_solve(system: ElectronSystem, cavity: CavityMode | None,
         system, cavity)
     orbitals = gram_schmidt_sectorwise(orbitals)
 
-    solve = _mixing_loop if cfg.minimizer == "imaginary-time" else _direct_minimization
+    solve = _mixing_loop if minimizer == "imaginary-time" else _direct_minimization
     psi, density, pot, history = solve(system, cavity, cfg, orbitals.psi,
                                        orbitals.occupations, v_ion, log)
     return _state(system, cavity, OrbitalSet(psi, orbitals.occupations, grid), density, pot,
-                  history)
+                  history, minimizer)
+
+
+def _resolve_minimizer(cfg: ScfConfig, system: ElectronSystem) -> str:
+    """The engine ``scf_solve`` runs: ``cfg.minimizer``, or the problem's pick.
+
+    With no minimizer given, one orbital on a 1D grid runs conjugate
+    gradients.  Several orbitals stay on imaginary time, since the direct
+    engine has no orthonormality constraint, and so do 3D grids, whose
+    Hartree operator is not self-adjoint.
+    """
+    if cfg.minimizer is not None:
+        return cfg.minimizer
+    if system.n_orbitals == 1 and system.grid.dim == 1:
+        return "conjugate-gradient"
+    return "imaginary-time"
 
 
 def _log_line(log, record: dict, measure: float, psi: np.ndarray, occ: np.ndarray,

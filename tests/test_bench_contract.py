@@ -48,7 +48,7 @@ def test_every_traced_name_resolves_to_a_callable(traced_sites):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
-@pytest.mark.parametrize("minimizer", scf.MINIMIZERS)
+@pytest.mark.parametrize("minimizer", scf.MINIMIZERS + (None,))
 def test_scf_calls_its_traced_names_through_module_globals(traced_sites, monkeypatch,
                                                            minimizer):
     calls = {}

@@ -233,6 +233,18 @@ n_fock = 1
         assert "ERROR ConfigurationError" in err and "[scf]" in err and "max_iterations" in err
         assert not (tmp_path / "run_scf.chk").exists()
 
+    @pytest.mark.parametrize("lines, engine", [
+        ("", "conjugate-gradient"),
+        ("\n[scf]\nminimizer =\n", "conjugate-gradient"),
+        ("\n[scf]\nminimizer = imaginary-time\n", "imaginary-time"),
+    ], ids=["no-key", "empty-key", "imaginary-time"])
+    def test_scf_names_the_engine_that_ran(self, tmp_path, capsys, lines, engine):
+        code = main(["scf", "--config", str(write(tmp_path, MINIMAL + lines)),
+                     "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert re.search(rf"^converged in \d+ iterations \({engine}\), E = ", out, re.M)
+
     def test_stencil_order_is_a_system_key(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL + "fd_order = 5\n"))
         assert cfg.grid == Grid((61,), 0.4, 5)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavitydft.errors import ConfigurationError, GridMismatchError
-from cavitydft.grid import (Grid, d2_stencil, dipole_integral, inner_product, integrate,
-                            laplacian)
+from cavitydft.grid import (Grid, components, d2_stencil, dipole_integral, inner_product,
+                            integrate, laplacian)
 from scipy import ndimage
 
 
@@ -41,6 +41,16 @@ class TestGridConstruction:
         g = Grid((9, 9, 9), 0.5)
         assert g.volume_element == pytest.approx(0.125)
         assert g.n_points == 729
+
+
+@pytest.mark.parametrize("value", [
+    61, 0.4, True, np.float64(0.7), np.int64(9), np.array(2.5), (61,), [9, 9, 9], (0.05, 0.0),
+    np.array([1.0, -2.0]), "1.5",
+], ids=repr)
+def test_components_reads_values_as_atleast_1d(value):
+    # the constructors cast each component with float() or int()
+    got, want = components(value), tuple(np.atleast_1d(value))
+    assert [float(c) for c in got] == [float(c) for c in want]
 
 
 class TestLaplacian:

@@ -27,7 +27,7 @@ def soft_atom(atom_grid):
 class TestScfConfig:
     def test_defaults_valid(self):
         cfg = ScfConfig()
-        assert cfg.minimizer == "imaginary-time"
+        assert cfg.minimizer is None
 
     def test_bad_minimizer(self):
         with pytest.raises(ConfigurationError):
@@ -133,6 +133,7 @@ class TestScfSolve:
                               use_hartree=False, use_xc=False, harmonic_omega=0.4)
         cav = CavityMode(omega=0.1, coupling=(0.0,), n_fock=1)
         state = scf_solve(sys_, cav, ScfConfig(tol_energy=1e-10, tol_density=1e-8,
+                                               minimizer="imaginary-time",
                                                max_iterations=2000))
         energies = [h["energy"] for h in state.history]
         assert all(b <= a + 1e-8 for a, b in zip(energies, energies[1:]))
@@ -218,9 +219,20 @@ class TestScfSolve:
         with pytest.raises(ConvergenceError) as err:
             scf_solve(soft_atom, cav, ScfConfig(max_iterations=3,
                                                 tol_energy=1e-14,
-                                                tol_density=1e-12))
+                                                tol_density=1e-12,
+                                                minimizer="imaginary-time"))
         assert err.value.history is not None
         assert "oscillations" in err.value.diagnostics
+
+    def test_nonconvergence_reports_diagnostics_by_default(self, soft_atom):
+        # one orbital in 1D: the default runs the direct engine
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+        with pytest.raises(ConvergenceError) as err:
+            scf_solve(soft_atom, cav, ScfConfig(max_iterations=3,
+                                                tol_energy=1e-14,
+                                                tol_density=1e-12))
+        assert len(err.value.history) == 3
+        assert err.value.diagnostics["last_residual"] == err.value.history[-1]["residual"]
 
     def test_converged_state_is_fixed_point(self, soft_atom):
         cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
@@ -361,7 +373,9 @@ class TestBitIdentity:
     so any change on its path must leave these values exactly as they are.
     Together the pins run the imaginary-time minimizer on the cavity-free
     and the Hartree-free paths, two orbitals (the Gram-Schmidt projections),
-    a 3D grid and a solve that ends in ``ConvergenceError``.
+    a 3D grid and a solve that ends in ``ConvergenceError``.  The 1D
+    one-orbital pins name it, since the default runs conjugate gradients
+    there.
     """
 
     @staticmethod
@@ -375,7 +389,8 @@ class TestBitIdentity:
         system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
                                 occupations=[1.0])
         assert self.solve(system, None, tol_energy=1e-10, tol_density=1e-8,
-                          max_iterations=2000) == (341, "-0x1.b168792a03661p-1")
+                          max_iterations=2000, minimizer="imaginary-time") == (
+            341, "-0x1.b168792a03661p-1")
 
     def test_harmonic_well_two_photons(self):
         # no Hartree, no XC: the coupling-scan path
@@ -383,7 +398,8 @@ class TestBitIdentity:
                                 use_hartree=False, use_xc=False, harmonic_omega=0.5)
         cav = CavityMode(omega=0.5, coupling=(0.05,), n_fock=2)
         assert self.solve(system, cav, tol_energy=1e-10, tol_density=1e-8,
-                          max_iterations=4000) == (413, "0x1.ff5ba559c89d1p-2")
+                          max_iterations=4000, minimizer="imaginary-time") == (
+            413, "0x1.ff5ba559c89d1p-2")
 
     def test_two_orbitals(self):
         system = ElectronSystem(grid=Grid((61,), 0.4),
@@ -405,7 +421,7 @@ class TestBitIdentity:
         cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
         with pytest.raises(ConvergenceError) as err:
             scf_solve(system, cav, ScfConfig(max_iterations=60, tol_energy=1e-14,
-                                             tol_density=1e-12))
+                                             tol_density=1e-12, minimizer="imaginary-time"))
         assert len(err.value.history) == 60
         assert float(err.value.history[-1]["energy"]).hex() == "-0x1.9cddd9dc1a592p-1"
         assert err.value.diagnostics["mixing_halvings"] == 7
@@ -416,7 +432,8 @@ class TestBitIdentity:
                                 occupations=[2.0])
         cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
         state = scf_solve(system, cav, ScfConfig(tol_energy=1e-10, tol_density=1e-8,
-                                                 max_iterations=2000))
+                                                 max_iterations=2000,
+                                                 minimizer="imaginary-time"))
         assert state.iterations == 371
         assert float(state.energy.total).hex() == "-0x1.1713268eecce2p+1"
 
@@ -445,7 +462,7 @@ class TestDirectMinimization:
     @staticmethod
     def both(system, cavity, **cfg):
         direct = scf_solve(system, cavity, ScfConfig(minimizer="conjugate-gradient", **cfg))
-        reference = scf_solve(system, cavity, ScfConfig(**cfg))
+        reference = scf_solve(system, cavity, ScfConfig(minimizer="imaginary-time", **cfg))
         assert direct.history[-1]["energy"] == direct.energy.total
         return direct, reference
 
@@ -517,6 +534,54 @@ class TestDirectMinimization:
         with pytest.raises(ConfigurationError, match="imaginary-time"):
             scf_solve(system, cav, ScfConfig(minimizer="conjugate-gradient",
                                              max_iterations=3000))
+
+
+class TestDefaultMinimizer:
+    """With no minimizer given, the problem picks the engine; a given one is kept."""
+
+    @staticmethod
+    def engine(system, cavity, **cfg):
+        return scf_solve(system, cavity, ScfConfig(max_iterations=3000, **cfg)).minimizer
+
+    def test_one_orbital_in_1d_runs_conjugate_gradients(self, soft_atom):
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+        assert self.engine(soft_atom, cav) == "conjugate-gradient"
+        assert self.engine(soft_atom, None) == "conjugate-gradient"
+        assert self.engine(soft_atom, cav, minimizer="imaginary-time") == "imaginary-time"
+
+    def test_two_orbitals_run_imaginary_time(self):
+        system = ElectronSystem(grid=Grid((41,), 0.4), ions=[], occupations=[1.0, 1.0],
+                                use_hartree=False, use_xc=False, harmonic_omega=0.5)
+        cav = CavityMode(omega=0.5, coupling=(0.05,), n_fock=1)
+        assert self.engine(system, cav, tol_density=1e-5) == "imaginary-time"
+        with pytest.raises(ConfigurationError, match="one orbital"):
+            self.engine(system, cav, minimizer="conjugate-gradient")
+
+    def test_three_dimensional_runs_imaginary_time(self):
+        system = ElectronSystem(grid=Grid((7, 7, 7), 0.6), ions=[], occupations=[1.0],
+                                use_hartree=False, use_xc=False, harmonic_omega=0.5)
+        cav = CavityMode(omega=0.5, coupling=(0.05, 0.0, 0.0), n_fock=1)
+        assert self.engine(system, cav, tol_density=1e-5) == "imaginary-time"
+        assert self.engine(system, cav, tol_density=1e-5,
+                           minimizer="conjugate-gradient") == "conjugate-gradient"
+
+    def test_state_from_orbitals_names_no_engine(self, soft_atom):
+        assert state_from_orbitals(soft_atom, None, init_orbitals(soft_atom, None)).minimizer \
+            is None
+
+    @pytest.mark.parametrize("lam", [0.02, 0.05])
+    def test_benchmark_harmonic_solves_match_oracle(self, lam):
+        # the coupling-scan inputs that stall at 4000 iterations on imaginary time
+        from cavitydft import oracle
+        system = ElectronSystem(grid=Grid((55,), 0.3), ions=[], occupations=[1.0],
+                                use_hartree=False, use_xc=False, harmonic_omega=0.5)
+        cav = CavityMode(omega=0.5, coupling=(lam,), n_fock=2)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-12, tol_density=1e-9,
+                                                 max_iterations=4000))
+        ref = oracle.scf_ground_state(system, cav)
+        assert state.minimizer == "conjugate-gradient"
+        assert abs(state.energy.total - ref.energy) <= 1e-12
+        assert np.max(np.abs(photon_occupations(state.orbitals) - ref.occupations)) <= 1e-10
 
 
 class TestWorkPerIteration:
