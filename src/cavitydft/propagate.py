@@ -47,7 +47,7 @@ from .cavity import CavityMode, OrbitalSet, SparseHamiltonian, coupling_field
 from .errors import ConfigurationError, PropagationAborted, StepSizeError
 from .potentials import Density, assemble_ks
 from .scf import ScfState, orbital_eigenvalues
-# kept bound here because bench/tracer.py wraps this name in this module
+# kept bound here because bench/run.py:trace_layers wraps this name in this module
 from .scf import total_energy  # noqa: F401
 from .timeseries import TimeSeries, axis_name
 

@@ -36,7 +36,7 @@ import numpy as np
 from .cavity import CavityMode, OrbitalSet, coupling_field, mean_dipole_mu
 from .errors import UsageError
 from .propagate import PropConfig, _drive, _Scheme
-# kept bound here because bench/tracer.py wraps these names in this module
+# kept bound here because bench/run.py:trace_layers wraps these names in this module
 from .propagate import assemble_ks, taylor_step, total_energy  # noqa: F401
 from .scf import ScfState
 from .timeseries import TimeSeries

@@ -7,9 +7,10 @@ default the problem picks one: a single orbital on a 1D grid runs
 
 ``imaginary-time`` freezes the mean-field Hamiltonian built
 from the current density, takes one imaginary-time step on every orbital
-with an exact line search on the Rayleigh quotient, re-orthogonalizes
-sector by sector, then mixes the new density into the old one with
-weight 0.3.
+with an exact line search on the Rayleigh quotient along the orbital's
+residual, in closed form from the central moments of H (so the step keeps
+its digits near convergence), re-orthogonalizes sector by sector, then
+mixes the new density into the old one with weight 0.3.
 Convergence requires both the energy change and the L1 density change to
 stay below tolerance for two consecutive iterations.  Density mixing is
 damped automatically when the energy history starts to oscillate, which is
@@ -67,7 +68,7 @@ MINIMIZERS = ("imaginary-time", "conjugate-gradient")
 
 # deterministic fallback amplitude for linearly dependent orbital seeds
 _PERTURB_AMPLITUDE = 1e-6
-# imaginary-time step of an orbital whose line search finds no minimum
+# imaginary-time step of an orbital whose line minimum needs tau <= 0
 _FALLBACK_STEP = 0.1
 # two projection sweeps reach orthogonality to working precision ("twice is
 # enough", Parlett 1980); linearly dependent inputs are perturbed at most twice
@@ -263,43 +264,30 @@ def _orthonormalized(psi: np.ndarray, grid) -> np.ndarray:
 def _imaginary_time_step(psi: np.ndarray, apply: Callable, dv: float) -> np.ndarray:
     """One imaginary-time step psi - tau H psi of every orbital under a frozen H.
 
-    Per orbital, tau minimizes the Rayleigh quotient of (1 - tau H) phi, from
-    the moments <H>, <H^2> and <H^3>.  ``psi`` is the bare array (orbitals,
-    sectors, *grid) and ``apply(psi) -> H psi`` the Hamiltonian.
+    Per normalized orbital phi, the step is phi - t r along the residual
+    r = H phi - m1 phi, m1 = <H>, with t the exact minimizer of the Rayleigh
+    quotient along that line: the positive root of nu2^2 t^2 + nu3 t - nu2 = 0,
+    where nu2 = <r|r> and nu3 = <r|H - m1|r> (Payne et al., Rev. Mod. Phys. 64,
+    1045 (1992)).  Central moments keep their digits near convergence, where
+    raw ones cancel.  In tau = 1 / (m1 + kappa), kappa = 1/t takes whichever
+    of its two forms has no cancellation; when m1 + kappa <= 0 the minimum
+    lies outside tau > 0 and the orbital takes ``_FALLBACK_STEP``.  ``psi``
+    is the bare array (orbitals, sectors, *grid) and ``apply(psi) -> H psi``
+    the Hamiltonian.
     """
     h_psi = apply(psi)
-    h2_psi = apply(h_psi)
     n_orb = psi.shape[0]
-    flat, w, hw = (a.reshape(n_orb, -1) for a in (psi, h_psi, h2_psi))
-    # plain floats: the same IEEE arithmetic as numpy scalars, at less cost
-    m1 = (np.einsum("mp,mp->m", flat.conj(), w).real * dv).tolist()
-    m2 = (np.einsum("mp,mp->m", w.conj(), w).real * dv).tolist()
-    m3 = (np.einsum("mp,mp->m", w.conj(), hw).real * dv).tolist()
+    flat, w = psi.reshape(n_orb, -1), h_psi.reshape(n_orb, -1)
+    m1 = np.einsum("mp,mp->m", flat.conj(), w).real * dv
+    r = w - m1[:, None] * flat
+    h_r = apply(r.reshape(psi.shape)).reshape(n_orb, -1)
+    nu2 = np.einsum("mp,mp->m", r.conj(), r).real * dv
+    nu3 = np.einsum("mp,mp->m", r.conj(), h_r).real * dv - m1 * nu2
+    big = np.abs(nu3) + np.sqrt(nu3**2 + 4.0 * nu2**3)
+    shift = m1 + np.where(nu3 >= 0, big / (2.0 * nu2), 2.0 * nu2**2 / big)
+    admissible = shift > 0
     taus = np.full(n_orb, _FALLBACK_STEP)
-    for m in range(n_orb):
-        a = m2[m] ** 2 - m1[m] * m3[m]
-        b = m3[m] - m1[m] * m2[m]
-        c = m1[m] ** 2 - m2[m]
-        candidates = []
-        if abs(a) > 1e-300:
-            disc = b * b - 4.0 * a * c
-            if disc >= 0:
-                root = math.sqrt(disc)
-                candidates = [(-b + root) / (2 * a), (-b - root) / (2 * a)]
-        elif abs(b) > 1e-300:
-            candidates = [-c / b]
-        best, best_e = None, None
-        for tau in candidates:
-            if not math.isfinite(tau) or tau <= 0:
-                continue
-            denom = 1.0 - 2.0 * tau * m1[m] + tau**2 * m2[m]
-            if denom <= 1e-12:
-                continue
-            e = (m1[m] - 2.0 * tau * m2[m] + tau**2 * m3[m]) / denom
-            if best_e is None or e < best_e:
-                best, best_e = tau, e
-        if best is not None:
-            taus[m] = best
+    taus[admissible] = 1.0 / shift[admissible]
     shape = (-1,) + (1,) * (psi.ndim - 1)
     return psi - taus.reshape(shape) * h_psi
 
@@ -507,7 +495,7 @@ def _mixing_loop(system, cavity, cfg, psi, occ, v_ion, log):
         density_in = Density(rho_in, grid)
         pot = assemble_ks(density_in, system, v_ion=v_ion)
         mu = mean_dipole_mu(density_in, cavity)
-        # resolved in this module at each call, where bench/tracer.py wraps it
+        # resolved in this module at each call, where bench/run.py:trace_layers wraps it
         stepped = _imaginary_time_step(
             psi, lambda p: apply_hamiltonian(p, pot.total, mu, cavity, grid),
             grid.volume_element)
@@ -622,7 +610,7 @@ def _direct_minimization(system, cavity, cfg, psi, occ, v_ion, log):
         density = Density(density_values(abs2, occ), grid)
         pot = assemble_ks(density, system, v_ion=v_ion)
         mu = mean_dipole_mu(density, cavity)
-        # resolved in this module at each call, where bench/tracer.py wraps it
+        # resolved in this module at each call, where bench/run.py:trace_layers wraps it
         h_psi = apply_hamiltonian(psi, pot.total, mu, cavity, grid)
         h_mean = dot(psi, h_psi)
         return _Point(psi, abs2, density, pot, mu, h_mean, weight * (h_psi - h_mean * psi))

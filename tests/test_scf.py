@@ -3,8 +3,8 @@ import pytest
 
 from cavitydft import cavity as cavity_module
 from cavitydft import scf as scf_module
-from cavitydft.cavity import (CavityMode, OrbitalSet, electron_density, mean_dipole_mu,
-                              photon_occupations)
+from cavitydft.cavity import (CavityMode, OrbitalSet, apply_hamiltonian, electron_density,
+                              mean_dipole_mu, photon_occupations)
 from cavitydft.errors import ConfigurationError, ConvergenceError, UsageError
 from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
@@ -366,6 +366,52 @@ class TestTotalEnergy:
         assert e.total == total  # bit-exact bookkeeping
 
 
+class TestImaginaryTimeStep:
+    """One step of one orbital under a frozen H on a small coupled 1D grid."""
+
+    grid = Grid((31,), 0.4)
+    cav = CavityMode(omega=0.3, coupling=(0.1,), n_fock=1)
+    x = grid.axis_coordinates(0)
+    v = -1.0 / np.sqrt(x**2 + 1.0)
+
+    def dot(self, a, b):
+        return np.vdot(a, b).real * self.grid.volume_element
+
+    def apply(self, shift=0.0):
+        return lambda p: apply_hamiltonian(p, self.v + shift, 0.05, self.cav, self.grid)
+
+    def orbital(self):
+        psi = np.stack([np.exp(-(self.x - 0.7) ** 2), 0.3 * self.x * np.exp(-self.x**2)])[None]
+        return psi / np.sqrt(self.dot(psi, psi))
+
+    def step(self, shift=0.0):
+        out = scf_module._imaginary_time_step(self.orbital(), self.apply(shift),
+                                              self.grid.volume_element)
+        return out / np.sqrt(self.dot(out, out))
+
+    def test_exact_line_minimum_along_the_residual(self):
+        from scipy.optimize import minimize_scalar
+        psi, apply = self.orbital(), self.apply()
+        h_psi = apply(psi)
+        r = h_psi - self.dot(psi, h_psi) * psi
+
+        def rayleigh(t):
+            phi = psi - t * r
+            return self.dot(phi, apply(phi)) / self.dot(phi, phi)
+
+        best = minimize_scalar(rayleigh, bracket=(0.0, 1.0), tol=1e-12)
+        expected = psi - best.x * r
+        expected /= np.sqrt(self.dot(expected, expected))
+        stepped = self.step()
+        assert best.fun < rayleigh(0.0) - 0.1
+        assert np.max(np.abs(stepped - expected)) <= 1e-8
+        assert self.dot(stepped, apply(stepped)) <= best.fun + 1e-14
+
+    @pytest.mark.parametrize("shift", [-0.3, 2.5])
+    def test_constant_potential_shift_leaves_the_orbital(self, shift):
+        assert np.max(np.abs(self.step(shift) - self.step())) <= 1e-13
+
+
 class TestBitIdentity:
     """Small solves pinned to their iteration count and energy bits.
 
@@ -390,7 +436,7 @@ class TestBitIdentity:
                                 occupations=[1.0])
         assert self.solve(system, None, tol_energy=1e-10, tol_density=1e-8,
                           max_iterations=2000, minimizer="imaginary-time") == (
-            341, "-0x1.b168792a03661p-1")
+            341, "-0x1.b168792a03667p-1")
 
     def test_harmonic_well_two_photons(self):
         # no Hartree, no XC: the coupling-scan path
@@ -399,7 +445,7 @@ class TestBitIdentity:
         cav = CavityMode(omega=0.5, coupling=(0.05,), n_fock=2)
         assert self.solve(system, cav, tol_energy=1e-10, tol_density=1e-8,
                           max_iterations=4000, minimizer="imaginary-time") == (
-            413, "0x1.ff5ba559c89d1p-2")
+            414, "0x1.ff5ba559c89c2p-2")
 
     def test_two_orbitals(self):
         system = ElectronSystem(grid=Grid((61,), 0.4),
@@ -407,13 +453,13 @@ class TestBitIdentity:
                                 occupations=[1.0, 1.0])
         cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
         assert self.solve(system, cav, tol_energy=1e-8, tol_density=1e-6,
-                          max_iterations=3000) == (449, "-0x1.9c0f3428c6e23p+1")
+                          max_iterations=3000) == (449, "-0x1.9c0f3428c7cb9p+1")
 
     def test_three_dimensional(self):
         system = ElectronSystem(grid=Grid((9, 9, 9), 0.6),
                                 ions=[Ion(1.0, (0.0, 0.0, 0.0), 1.0)], occupations=[1.0])
         cav = CavityMode(omega=0.3, coupling=(0.05, 0.0, 0.0), n_fock=1)
-        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65225fc8f0p-4")
+        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65225fc76dp-4")
 
     def test_convergence_error(self):
         system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
@@ -423,7 +469,7 @@ class TestBitIdentity:
             scf_solve(system, cav, ScfConfig(max_iterations=60, tol_energy=1e-14,
                                              tol_density=1e-12, minimizer="imaginary-time"))
         assert len(err.value.history) == 60
-        assert float(err.value.history[-1]["energy"]).hex() == "-0x1.9cddd9dc1a592p-1"
+        assert float(err.value.history[-1]["energy"]).hex() == "-0x1.9cddd9dc1a598p-1"
         assert err.value.diagnostics["mixing_halvings"] == 7
 
     def test_imaginary_time_hartree_lda_cavity(self):
@@ -434,8 +480,8 @@ class TestBitIdentity:
         state = scf_solve(system, cav, ScfConfig(tol_energy=1e-10, tol_density=1e-8,
                                                  max_iterations=2000,
                                                  minimizer="imaginary-time"))
-        assert state.iterations == 371
-        assert float(state.energy.total).hex() == "-0x1.1713268eecce2p+1"
+        assert state.iterations == 370
+        assert float(state.energy.total).hex() == "-0x1.1713268eec179p+1"
 
     def test_returned_state_is_its_orbitals_state(self):
         system = ElectronSystem(grid=Grid((61,), 0.4, order=5),
@@ -569,19 +615,41 @@ class TestDefaultMinimizer:
         assert state_from_orbitals(soft_atom, None, init_orbitals(soft_atom, None)).minimizer \
             is None
 
+    @pytest.mark.parametrize("minimizer", [None, "imaginary-time"])
     @pytest.mark.parametrize("lam", [0.02, 0.05])
-    def test_benchmark_harmonic_solves_match_oracle(self, lam):
-        # the coupling-scan inputs that stall at 4000 iterations on imaginary time
+    def test_benchmark_harmonic_solves_match_oracle(self, lam, minimizer):
+        # the coupling-scan inputs, on the default and the imaginary-time engine
         from cavitydft import oracle
         system = ElectronSystem(grid=Grid((55,), 0.3), ions=[], occupations=[1.0],
                                 use_hartree=False, use_xc=False, harmonic_omega=0.5)
         cav = CavityMode(omega=0.5, coupling=(lam,), n_fock=2)
         state = scf_solve(system, cav, ScfConfig(tol_energy=1e-12, tol_density=1e-9,
-                                                 max_iterations=4000))
+                                                 max_iterations=4000, minimizer=minimizer))
         ref = oracle.scf_ground_state(system, cav)
-        assert state.minimizer == "conjugate-gradient"
+        assert state.minimizer == (minimizer or "conjugate-gradient")
         assert abs(state.energy.total - ref.energy) <= 1e-12
         assert np.max(np.abs(photon_occupations(state.orbitals) - ref.occupations)) <= 1e-10
+
+    def test_three_dimensional_harmonic_atom_matches_oracle(self):
+        # separable without Hartree and XC: the cavity couples x only, so the
+        # energy is the 1D polariton's on the x line plus the y and z ground
+        # states of the bare well, and P_n is the 1D polariton's
+        from cavitydft import oracle
+        omega0, n, h = 0.5, 13, 0.5
+        cav = CavityMode(omega=0.5, coupling=(0.05, 0.0, 0.0), n_fock=2)
+        system = ElectronSystem(grid=Grid((n, n, n), h), ions=[], occupations=[1.0],
+                                use_hartree=False, use_xc=False, harmonic_omega=omega0)
+        state = scf_solve(system, cav, ScfConfig(tol_energy=1e-12, tol_density=1e-8,
+                                                 max_iterations=4000))
+        line = ElectronSystem(grid=Grid((n,), h), ions=[], occupations=[1.0],
+                              use_hartree=False, use_xc=False, harmonic_omega=omega0)
+        ref = oracle.scf_ground_state(line, CavityMode(omega=0.5, coupling=(0.05,), n_fock=2))
+        y = line.grid.axis_coordinates(0)
+        h_perp = oracle.kinetic_matrix(line.grid).toarray() + np.diag(0.5 * omega0**2 * y**2)
+        e_perp = np.linalg.eigvalsh(h_perp)[0]
+        assert state.minimizer == "imaginary-time"
+        assert abs(state.energy.total - (ref.energy + 2.0 * e_perp)) <= 1e-12
+        assert np.max(np.abs(photon_occupations(state.orbitals) - ref.occupations)) <= 1e-12
 
 
 class TestWorkPerIteration:
