@@ -615,8 +615,10 @@ class TestDefaultMinimizer:
         assert state_from_orbitals(soft_atom, None, init_orbitals(soft_atom, None)).minimizer \
             is None
 
-    @pytest.mark.parametrize("minimizer", [None, "imaginary-time"])
-    @pytest.mark.parametrize("lam", [0.02, 0.05])
+    @pytest.mark.parametrize("lam, minimizer", [
+        pytest.param(0.02, None, id="0.02"), pytest.param(0.05, None, id="0.05"),
+        pytest.param(0.02, "imaginary-time", id="0.02-imaginary-time"),
+        pytest.param(0.05, "imaginary-time", id="0.05-imaginary-time")])
     def test_benchmark_harmonic_solves_match_oracle(self, lam, minimizer):
         # the coupling-scan inputs, on the default and the imaginary-time engine
         from cavitydft import oracle
