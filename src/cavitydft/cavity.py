@@ -48,7 +48,7 @@ class CavityMode:
 
     def __post_init__(self):
         object.__setattr__(self, "coupling",
-                           tuple(float(c) for c in gridmod.components(self.coupling)))
+                           tuple(map(float, gridmod.components(self.coupling))))
         object.__setattr__(self, "n_fock", int(self.n_fock))
         if not self.omega > 0:
             raise ConfigurationError(f"cavity frequency must be positive, got {self.omega}")

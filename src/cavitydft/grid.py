@@ -73,11 +73,11 @@ class Grid:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in components(self.shape))
+        shape = tuple(map(int, components(self.shape)))
         object.__setattr__(self, "shape", shape)
         if len(shape) not in (1, 3):
             raise ConfigurationError(f"grid must be 1D or 3D, got {len(shape)} axes")
-        if any(n < 5 for n in shape):
+        if min(shape) < 5:
             raise ConfigurationError(f"every axis needs >= 5 points, got {shape}")
         if not self.h > 0:
             raise ConfigurationError(f"grid spacing must be positive, got {self.h}")
@@ -195,8 +195,3 @@ def dipole_integral(rho: np.ndarray, grid: Grid, axis: int = 0) -> float:
     rho = np.asarray(rho)
     grid.check_field(rho)
     return float((grid.coordinate(axis) * rho).sum()) * grid.volume_element
-
-
-def dipole_vector(rho: np.ndarray, grid: Grid) -> np.ndarray:
-    """All dipole components of a real density as a ``dim``-vector."""
-    return np.array([dipole_integral(rho, grid, a) for a in range(grid.dim)])

@@ -3,9 +3,9 @@
 The effective one-body potential is V_H[rho] + V_XC[rho] + V_ion (plus any
 static external well).  Ions are local soft-Coulomb centers
 ``-Z / sqrt(|r - R|^2 + a^2)``.  The Hartree problem is solved by direct
-soft-kernel convolution in 1D and, in 3D, by conjugate gradients on the
-finite-difference Laplacian with multipole boundary values, preconditioned
-by the fast-sine-transform inverse of that same stencil with zero walls.
+soft-kernel convolution in 1D and, in 3D, by an exact direct solve of the
+finite-difference Poisson problem with multipole boundary values: fast
+diagonalization of the zero-wall stencil, axis by axis.
 Exchange-correlation is spin-unpolarized LDA: Slater exchange plus the
 Perdew-Zunger 1981 correlation fit, applied pointwise with negative
 round-off densities clipped to zero.
@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import grid as gridmod
-from .errors import ConfigurationError, ConvergenceError
-from .grid import Grid, dipole_vector, integrate, laplacian
+from .errors import ConfigurationError
+from .grid import Grid, integrate
+# kept bound here because bench/run.py:trace_layers wraps this name in this module
+from .grid import laplacian  # noqa: F401
 
 # Slater exchange prefactor: eps_x = -C_X rho^(1/3)
 _CX = 0.75 * (3.0 / np.pi) ** (1.0 / 3.0)
@@ -40,9 +40,6 @@ _DENSITY_FLOOR = 1e-30
 # density put in place of discarded points before they are zeroed (r_s ~ 6)
 _DENSITY_STAND_IN = 1e-3
 
-# Poisson CG budget; the sine-transform preconditioner converges in ~5 iterations
-_POISSON_MAXITER = 5000
-
 
 @dataclass(frozen=True)
 class Ion:
@@ -54,7 +51,7 @@ class Ion:
 
     def __post_init__(self):
         object.__setattr__(self, "position",
-                           tuple(float(p) for p in gridmod.components(self.position)))
+                           tuple(map(float, gridmod.components(self.position))))
         if not self.softening > 0:
             raise ConfigurationError(f"ion softening must be positive, got {self.softening}")
 
@@ -93,19 +90,21 @@ class ElectronSystem:
         self.occupations = np.asarray(self.occupations, dtype=float)
         if self.occupations.ndim != 1 or len(self.occupations) == 0:
             raise ConfigurationError("occupations must be a non-empty 1D sequence")
-        if (self.occupations < 0).any():
+        # not min(): a NaN ahead of a negative value would hide it
+        if any(c < 0 for c in self.occupations.tolist()):
             raise ConfigurationError("orbital occupations must be non-negative")
         if not self.ee_softening > 0:
             raise ConfigurationError("ee_softening must be positive")
-        half_box = [(n - 1) / 2.0 * self.grid.h for n in self.grid.shape]
+        shape, h = self.grid.shape, self.grid.h
         for ion in self.ions:
             pos = ion.position
-            if len(pos) != self.grid.dim:
+            if len(pos) != len(shape):
                 raise ConfigurationError(
                     f"ion position {ion.position} has wrong dimension for a {self.grid.dim}D grid"
                 )
-            if any(abs(p) > hb for p, hb in zip(pos, half_box)):
-                raise ConfigurationError(f"ion at {ion.position} lies outside the box")
+            for p, n in zip(pos, shape):
+                if abs(p) > (n - 1) / 2.0 * h:
+                    raise ConfigurationError(f"ion at {ion.position} lies outside the box")
         if self.external_potential is not None:
             self.grid.check_field(self.external_potential)
 
@@ -192,84 +191,77 @@ def _padded_geometry(grid: Grid) -> tuple:
     return tuple(coords), r, r3
 
 
-def _boundary_source(rho: np.ndarray, grid: Grid) -> np.ndarray:
-    """Stencil coupling of the free-space boundary values into the box.
+def _along_axes(f: np.ndarray, matrices) -> np.ndarray:
+    """``f`` with ``matrices[a]`` applied along axis a of a 3D field."""
+    mx, my, mz = matrices
+    f = (mx @ f.reshape(f.shape[0], -1)).reshape(f.shape)
+    f = my @ f
+    return f @ mz.T
 
-    The monopole+dipole potential of ``rho`` fills the ring that pads the
-    grid by the stencil half-width (zero inside); its Laplacian on the
-    interior points is what moves to the right-hand side of the Dirichlet
-    problem.
+
+def _eigenbasis_solve(f: np.ndarray, vectors, inverse_values: np.ndarray) -> np.ndarray:
+    """L^-1 f: to the per-axis eigenbases, the inverse eigenvalues, and back."""
+    return _along_axes(_along_axes(f, [q.T for q in vectors]) * inverse_values, vectors)
+
+
+@lru_cache(maxsize=4)
+def _dirichlet_solver(grid: Grid) -> tuple:
+    """The pieces of the direct 3D Hartree solve on ``grid``, built on its first solve.
+
+    -lap with zero walls is the Kronecker sum of one n x n ``grid.order``-point
+    -d^2 matrix per axis, so with the eigenpairs (q, l) of each its inverse is
+    a transform to the eigenbasis, the scaling 1 / (l_i + l_j + l_k) and the
+    transform back.  The multipole boundary values are linear in the moments
+    m = (int rho, int x rho, int y rho, int z rho): the ring fields 1/r, x/r^3,
+    y/r^3 and z/r^3, which pad the grid by the stencil half-width, couple into
+    the box through the stencil as sources B_k, whose responses L^-1 B_k are
+    kept.  Returns the eigenvector matrices, the inverse eigenvalues, the
+    moment weights h^3 (1, x, y, z) and the responses (both flat, 4 x N).
+    The arrays are shared: read-only.
     """
-    charge = float(integrate(rho, grid))
-    dip = dipole_vector(rho, grid)
-    coords, r, r3 = _padded_geometry(grid)
-    vb = charge / r + sum(d * c for d, c in zip(dip, coords)) / r3
-    pad = grid.order // 2
-    interior = tuple(slice(pad, pad + n) for n in grid.shape)
-    vb[interior] = 0.0
-    # gridmod's binding: the benchmark counts potentials.laplacian calls as CG matvecs
-    return gridmod.laplacian(vb, Grid(vb.shape, grid.h, grid.order))[interior]
-
-
-@lru_cache(maxsize=16)
-def _inverse_dirichlet_symbol(grid: Grid) -> np.ndarray:
-    """Inverse of the DST-I symbol of -lap (``grid.order``-point stencil, zero walls).
-
-    Along an axis of n points the sine mode k = 1..n has the -lap symbol
-    -(w0 + 2 sum_j wj cos(j pi k / (n + 1))) / h^2; the 3D symbol is the sum
-    over the axes.  The 3-point stencil is exactly diagonal in this basis;
-    wider stencils differ from it only near the walls, so the inverse serves
-    as a preconditioner rather than as the solver.
-    """
-    half = gridmod.d2_stencil(grid.order)[grid.order // 2:]
-    j = np.arange(1, len(half))
-    axis_symbols = []
+    weights = gridmod.d2_stencil(grid.order) / grid.h**2
+    half = grid.order // 2
+    vectors, values = [], []
     for n in grid.shape:
-        theta = np.pi * np.arange(1, n + 1) / (n + 1)
-        axis_symbols.append(-(half[0] + 2.0 * np.cos(np.outer(theta, j)) @ half[1:]) / grid.h**2)
-    inverse = 1.0 / sum(np.meshgrid(*axis_symbols, indexing="ij", sparse=True))
-    inverse.setflags(write=False)
-    return inverse
+        neg_d2 = -sum(np.diag(np.full(n - abs(k), weights[half + k]), k)
+                      for k in range(-half, half + 1))
+        lam, q = np.linalg.eigh(neg_d2)
+        values.append(lam)
+        vectors.append(q)
+    inverse_values = 1.0 / sum(np.meshgrid(*values, indexing="ij", sparse=True))
+    coords, r, r3 = _padded_geometry(grid)
+    ring = np.stack([1.0 / r, *(c / r3 for c in coords)])
+    interior = (slice(None),) + tuple(slice(half, half + n) for n in grid.shape)
+    ring[interior] = 0.0
+    # through gridmod: the benchmark counts this module's binding as applications
+    # per solve, and this one is made once per grid
+    sources = gridmod.laplacian(ring, Grid(r.shape, grid.h, grid.order))[interior]
+    responses = np.stack([_eigenbasis_solve(b, vectors, inverse_values)
+                          for b in sources]).reshape(4, -1)
+    moment_weights = (np.stack([np.ones(grid.shape), *grid.coordinates]).reshape(4, -1)
+                      * grid.volume_element)
+    for a in (*vectors, inverse_values, moment_weights, responses):
+        a.setflags(write=False)
+    return tuple(vectors), inverse_values, moment_weights, responses
 
 
-def hartree_potential_3d(rho: np.ndarray, grid: Grid, tol: float = 1e-8) -> np.ndarray:
-    """Solve -lap(V) = 4 pi rho with free-space boundary values.
+def hartree_potential_3d(rho: np.ndarray, grid: Grid) -> np.ndarray:
+    """Solve -lap(V) = 4 pi rho with free-space boundary values, directly.
 
     The boundary potential outside the box comes from the monopole+dipole
-    expansion of rho; its stencil coupling into the box is moved to the
-    right-hand side, after which conjugate gradients solve the Dirichlet
-    problem on the interior.  CG is preconditioned by the exact inverse of
-    the stencil's sine-transform symbol (a fast Poisson solver, Buzbee,
-    Golub & Nielson 1970), so it converges in a handful of iterations.
+    expansion of rho, and its stencil coupling into the box moves to the
+    right-hand side of the Dirichlet problem on the interior.  That problem
+    is solved exactly by fast diagonalization (Lynch, Rice & Thomas, Numer.
+    Math. 6, 185 (1964)): V = L^-1 (4 pi rho) + sum_k m_k L^-1 B_k, with L^-1
+    three axis-wise eigenvector transforms, one scaling and three transforms
+    back, and the boundary responses L^-1 B_k built once per grid.
     """
     rho = np.asarray(rho, dtype=float)
     grid.check_field(rho)
-    b = 4.0 * np.pi * rho + _boundary_source(rho, grid)
-
-    shape = grid.shape
-
-    def neg_lap(v):
-        return -laplacian(v.reshape(shape), grid).ravel()
-
-    inverse_symbol = _inverse_dirichlet_symbol(grid)
-
-    def fast_sine_solve(r):
-        r_hat = fft.dstn(r.reshape(shape), type=1, norm="ortho")
-        return fft.idstn(r_hat * inverse_symbol, type=1, norm="ortho").ravel()
-
-    n = grid.n_points
-    op = LinearOperator((n, n), matvec=neg_lap, dtype=float)
-    precond = LinearOperator((n, n), matvec=fast_sine_solve, dtype=float)
-    b_flat = b.ravel()
-    x, info = cg(op, b_flat, rtol=tol, atol=0.0, maxiter=_POISSON_MAXITER, M=precond)
-    if info != 0:
-        residual = float(np.linalg.norm(neg_lap(x) - b_flat) / max(np.linalg.norm(b_flat), 1e-300))
-        raise ConvergenceError(
-            f"Poisson CG did not reach rtol={tol} in {_POISSON_MAXITER} iterations "
-            f"(relative residual {residual:.3e})",
-            diagnostics={"residual": residual},
-        )
-    return x.reshape(shape)
+    vectors, inverse_values, moment_weights, responses = _dirichlet_solver(grid)
+    v = _eigenbasis_solve(4.0 * np.pi * rho, vectors, inverse_values)
+    v += ((moment_weights @ rho.ravel()) @ responses).reshape(grid.shape)
+    return v
 
 
 def hartree_potential(density: Density, *, softening: float = 1.0) -> np.ndarray:

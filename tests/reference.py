@@ -4,16 +4,17 @@ Each function here evaluates a quantity the package computes on its own
 path (through its sparse Hamiltonian, inside the propagation loop, by the
 1D Hartree convolution, in the classical-photon scheme) by a separate,
 plain formula: H psi by the finite-difference stencil and sector slices,
-<q> and the sector dipoles of an orbital set, the double-sum 1D Hartree
-energy, and the velocity-Verlet trajectory of a driven oscillator with
-its closed form.
+<q> and the sector dipoles of an orbital set, the dipole vector of a
+density, the double-sum 1D Hartree energy, the boundary right-hand side
+of the 3D Hartree problem, and the velocity-Verlet trajectory of a driven
+oscillator with its closed form.
 """
 
 import numpy as np
 
 from cavitydft.cavity import CavityMode, OrbitalSet, coupling_field
 from cavitydft.errors import UsageError
-from cavitydft.grid import Grid, laplacian
+from cavitydft.grid import Grid, dipole_integral, integrate, laplacian
 from cavitydft.qedft import verlet_step
 
 
@@ -95,12 +96,39 @@ def sector_dipoles(orbitals: OrbitalSet) -> np.ndarray:
                     axis=1) * grid.volume_element
 
 
+def dipole_vector(rho: np.ndarray, grid: Grid) -> np.ndarray:
+    """All dipole components of a real density as a ``dim``-vector."""
+    return np.array([dipole_integral(rho, grid, a) for a in range(grid.dim)])
+
+
 def hartree_energy_direct_1d(rho: np.ndarray, grid: Grid, softening: float) -> float:
     """Double-sum Hartree energy for small 1D grids."""
     x = grid.axis_coordinates(0)
     dx = x[:, None] - x[None, :]
     kernel = 1.0 / np.sqrt(dx**2 + softening**2)
     return 0.5 * float(rho @ kernel @ rho) * grid.h**2
+
+
+def multipole_boundary_source(rho: np.ndarray, grid: Grid) -> np.ndarray:
+    """Stencil coupling of the free-space boundary values into a 3D box.
+
+    The monopole+dipole potential of ``rho`` fills the ring that pads the
+    grid by the stencil half-width (zero inside); its Laplacian on the
+    interior points is the term that joins 4 pi rho on the right-hand side
+    of the Dirichlet problem -lap V = 4 pi rho + (this) on the interior.
+    """
+    pad = grid.order // 2
+    padded = Grid(tuple(n + 2 * pad for n in grid.shape), grid.h, grid.order)
+    interior = tuple(slice(pad, pad + n) for n in grid.shape)
+    ring = np.ones(padded.shape, dtype=bool)
+    ring[interior] = False
+    coords = [c[ring] for c in padded.coordinates]
+    r = np.sqrt(sum(c**2 for c in coords))
+    charge = float(integrate(rho, grid))
+    dipole = dipole_vector(rho, grid)
+    v_ring = np.zeros(padded.shape)
+    v_ring[ring] = charge / r + sum(d * c for d, c in zip(dipole, coords)) / r**3
+    return laplacian(v_ring, padded)[interior]
 
 
 def verlet_oscillator(q0: float, qdot0: float, omega: float, drive,

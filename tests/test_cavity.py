@@ -7,9 +7,9 @@ from cavitydft.cavity import (CavityMode, OrbitalSet, SparseHamiltonian, apply_h
                               coupling_field, ladder_commutator, mean_dipole_mu,
                               photon_occupations)
 from cavitydft.errors import ConfigurationError, GridMismatchError, UsageError
-from cavitydft.grid import Grid, dipole_vector, integrate, laplacian
+from cavitydft.grid import Grid, integrate, laplacian
 from cavitydft.potentials import Density
-from reference import q_expectation, sector_dipoles, stencil_apply_hamiltonian
+from reference import dipole_vector, q_expectation, sector_dipoles, stencil_apply_hamiltonian
 
 
 @pytest.fixture

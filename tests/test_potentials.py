@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
+import cavitydft.grid as gridmod
 import cavitydft.potentials as potentials
 from cavitydft.errors import ConfigurationError
 from cavitydft.grid import Grid, d2_stencil, integrate, laplacian
 from cavitydft.potentials import (Density, ElectronSystem, Ion, assemble_ks,
                                   external_potential, hartree_potential, hartree_potential_1d,
                                   hartree_potential_3d, ionic_potential, lda_xc)
-from reference import hartree_energy_direct_1d
+from reference import hartree_energy_direct_1d, multipole_boundary_source
 
 
 @pytest.fixture
@@ -43,6 +44,11 @@ class TestIonicPotential:
         with pytest.raises(ConfigurationError):
             ElectronSystem(grid=line, ions=[Ion(1.0, (30.0,), 1.0)],
                            occupations=[1.0])
+
+    @pytest.mark.parametrize("occupations", [[-1.0], [np.nan, -1.0]])
+    def test_negative_occupation_rejected(self, line, occupations):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ElectronSystem(grid=line, occupations=occupations)
 
     def test_bad_softening_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -87,22 +93,18 @@ class TestHartree3D:
         x, y, z = g.coordinates
         rho = np.exp(-(x**2 + y**2 + z**2) / (2 * 0.4**2))
         rho /= integrate(rho, g)
-        v = hartree_potential_3d(rho, g, tol=1e-9)
+        v = hartree_potential_3d(rho, g)
         idx = np.argmin(np.abs(g.axis_coordinates(0) - 6.0))
         c = 16  # center index
         assert v[idx, c, c] == pytest.approx(1.0 / 6.0, rel=0.01)
 
     def test_matches_direct_sparse_solve(self):
         # independent solver oracle on a tiny grid
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as sla
-        from cavitydft.grid import laplacian
-
         g = Grid((13, 13, 13), 0.7)
         x, y, z = g.coordinates
         rho = np.exp(-(x**2 + (y - 0.3) ** 2 + z**2))
         rho /= integrate(rho, g)
-        v_cg = hartree_potential_3d(rho, g, tol=1e-10)
+        v = hartree_potential_3d(rho, g)
 
         n = g.n_points
         cols = []
@@ -111,9 +113,9 @@ class TestHartree3D:
             e[i] = 1.0
             cols.append(-laplacian(e.reshape(g.shape), g).ravel())
         a_mat = sp.csr_matrix(np.column_stack(cols))
-        b = 4 * np.pi * rho + potentials._boundary_source(rho, g)
+        b = 4 * np.pi * rho + multipole_boundary_source(rho, g)
         v_direct = sla.spsolve(a_mat.tocsc(), b.ravel()).reshape(g.shape)
-        assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
+        assert np.max(np.abs(v - v_direct)) < 1e-12 * np.max(np.abs(v_direct))
 
     @staticmethod
     def sparse_neg_laplacian(grid):
@@ -135,18 +137,35 @@ class TestHartree3D:
         x, y, z = g.coordinates
         rho = np.exp(-((x - 0.4) ** 2 + y**2 + (z + 0.2) ** 2))
         rho /= integrate(rho, g)
-        v_cg = hartree_potential_3d(rho, g, tol=1e-10)
+        v = hartree_potential_3d(rho, g)
 
-        b = 4 * np.pi * rho + potentials._boundary_source(rho, g)
+        b = 4 * np.pi * rho + multipole_boundary_source(rho, g)
         v_direct = sla.spsolve(self.sparse_neg_laplacian(g), b.ravel()).reshape(g.shape)
-        assert np.max(np.abs(v_cg - v_direct)) < 1e-6 * np.max(np.abs(v_direct))
+        assert np.max(np.abs(v - v_direct)) < 1e-12 * np.max(np.abs(v_direct))
 
-    def test_inverse_symbol_cache_is_read_only(self):
-        g = Grid((9, 7, 5), 0.5)
-        inverse = potentials._inverse_dirichlet_symbol(g)
-        assert inverse is potentials._inverse_dirichlet_symbol(Grid((9, 7, 5), 0.5))
-        assert not inverse.flags.writeable
-        assert np.all(inverse > 0)
+    def test_symmetric_for_densities_without_charge_or_dipole(self):
+        # the multipole boundary term vanishes, leaving the symmetric L^-1
+        g = Grid((15, 15, 15), 0.5)
+        x, y, z = g.coordinates
+        moments = np.stack([np.ones(g.shape), x, y, z]).reshape(4, -1)
+        rng = np.random.default_rng(3)
+        envelope = np.exp(-(x**2 + y**2 + z**2) / 4.0).ravel()
+        a, b = rng.uniform(-1.0, 1.0, (2, g.n_points)) * envelope
+        a, b = (f - moments.T @ np.linalg.solve(moments @ moments.T, moments @ f)
+                for f in (a, b))
+        a, b = a.reshape(g.shape), b.reshape(g.shape)
+        a_vb = float(np.sum(a * hartree_potential_3d(b, g)))
+        b_va = float(np.sum(b * hartree_potential_3d(a, g)))
+        assert abs(a_vb - b_va) <= 1e-12 * abs(a_vb)
+
+    def test_solver_cache_is_shared_and_read_only(self):
+        pieces = potentials._dirichlet_solver(Grid((9, 7, 5), 0.5))
+        assert pieces is potentials._dirichlet_solver(Grid((9, 7, 5), 0.5))
+        vectors, inverse_values, moment_weights, responses = pieces
+        assert inverse_values.shape == (9, 7, 5) and np.all(inverse_values > 0)
+        assert responses.shape == moment_weights.shape == (4, 9 * 7 * 5)
+        assert not any(a.flags.writeable
+                       for a in (*vectors, inverse_values, moment_weights, responses))
 
     def test_padded_geometry_cache_is_read_only(self):
         coords, r, r3 = potentials._padded_geometry(Grid((9, 7, 5), 0.5))
@@ -154,7 +173,13 @@ class TestHartree3D:
         assert r.shape == (17, 15, 13)
         assert not any(a.flags.writeable for a in (*coords, r, r3))
 
-    def test_preconditioned_cg_needs_few_matvecs(self, monkeypatch):
+    def test_solve_after_the_first_makes_no_laplacian_call(self, monkeypatch):
+        g = Grid((15, 15, 15), 0.4)
+        x, y, z = g.coordinates
+        rho = np.exp(-((x - 0.7) ** 2 + y**2 + z**2)) + np.exp(-((x + 0.7) ** 2 + y**2 + z**2))
+        rho *= 2.0 / integrate(rho, g)
+        first = hartree_potential_3d(rho, g)
+
         calls = []
 
         def counted_laplacian(*args, **kwargs):
@@ -162,12 +187,9 @@ class TestHartree3D:
             return laplacian(*args, **kwargs)
 
         monkeypatch.setattr(potentials, "laplacian", counted_laplacian)
-        g = Grid((15, 15, 15), 0.4)
-        x, y, z = g.coordinates
-        rho = np.exp(-((x - 0.7) ** 2 + y**2 + z**2)) + np.exp(-((x + 0.7) ** 2 + y**2 + z**2))
-        rho *= 2.0 / integrate(rho, g)
-        hartree_potential_3d(rho, g, tol=1e-8)
-        assert 0 < len(calls) <= 10
+        monkeypatch.setattr(gridmod, "laplacian", counted_laplacian)
+        assert np.array_equal(hartree_potential_3d(rho, g), first)
+        assert calls == []
 
 
 class TestLdaXc:

@@ -459,7 +459,7 @@ class TestBitIdentity:
         system = ElectronSystem(grid=Grid((9, 9, 9), 0.6),
                                 ions=[Ion(1.0, (0.0, 0.0, 0.0), 1.0)], occupations=[1.0])
         cav = CavityMode(omega=0.3, coupling=(0.05, 0.0, 0.0), n_fock=1)
-        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65225fc76dp-4")
+        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65224e11a1p-4")
 
     def test_convergence_error(self):
         system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
