@@ -52,6 +52,8 @@ class CavityMode:
         object.__setattr__(self, "n_fock", int(self.n_fock))
         if not self.omega > 0:
             raise ConfigurationError(f"cavity frequency must be positive, got {self.omega}")
+        if not abs(sum(self.coupling)) < np.inf:
+            raise ConfigurationError(f"cavity coupling must be finite, got {self.coupling}")
         if self.n_fock < 0:
             raise ConfigurationError(f"n_fock must be >= 0, got {self.n_fock}")
 

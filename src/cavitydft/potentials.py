@@ -54,6 +54,8 @@ class Ion:
                            tuple(map(float, gridmod.components(self.position))))
         if not self.softening > 0:
             raise ConfigurationError(f"ion softening must be positive, got {self.softening}")
+        if not abs(self.charge + sum(self.position)) < np.inf:
+            raise ConfigurationError(f"non-finite ion {self.charge} at {self.position}")
 
 
 @dataclass
@@ -90,9 +92,11 @@ class ElectronSystem:
         self.occupations = np.asarray(self.occupations, dtype=float)
         if self.occupations.ndim != 1 or len(self.occupations) == 0:
             raise ConfigurationError("occupations must be a non-empty 1D sequence")
-        # not min(): a NaN ahead of a negative value would hide it
-        if any(c < 0 for c in self.occupations.tolist()):
-            raise ConfigurationError("orbital occupations must be non-negative")
+        occupations = self.occupations.tolist()
+        # a NaN or an infinity in any term makes the sum non-finite; min() alone
+        # passes a NaN that follows a number
+        if not (min(occupations) >= 0 and sum(occupations) < np.inf):
+            raise ConfigurationError("orbital occupations must be non-negative and finite")
         if not self.ee_softening > 0:
             raise ConfigurationError("ee_softening must be positive")
         shape, h = self.grid.shape, self.grid.h

@@ -10,22 +10,16 @@ through the one loop :func:`_drive`; a scheme supplies only its photon
 term of the local potential, how it advances its photon state, and its
 photon columns and energy.
 
-The field-free part of H (kinetic term, and on a Fock space the photon
-energies and the ladder coupling) is built once per run as one sparse
-matrix of about 12 bytes per nonzero, ~1.8 MB at 15^3 and ~40 MB at 41^3
-with two sectors; only the diagonal potential V_KS + photon term + E(t).r
-changes from step to step.  The local potential of each step is written
-into the diagonal of the run's :class:`SparseHamiltonian`, so every
-application of H is one sparse product.  The SCF applies the same operator
-through :func:`~cavitydft.cavity.apply_hamiltonian`, so a converged ground
-state is stationary under the propagator.  The loop works on the bare
-orbital array: each step forms |psi|^2 once and takes from it the norms
-(the drift guard and the finiteness check), the sector densities p_n, and
-from those the density, P_n and the sector dipoles; the mean field is one
-:func:`assemble_ks` per step.  A sample adds one product of adjacent
-sectors for <q> and one product with H for the energy (see
-:func:`_drive`), so the energy of a sample costs no rebuilt Laplacian or
-density.  An :class:`OrbitalSet` is made only for the returned and the
+H is one :class:`SparseHamiltonian` per run: its field-free part
+(:func:`~cavitydft.cavity.field_free_hamiltonian`) is built once, and each
+step writes only the local potential V_KS + photon term + E(t).r into its
+diagonal, so every application of H is one sparse product.  The SCF applies
+the same operator, so a converged ground state is stationary under the
+propagator.  The loop works on the bare orbital array: each step forms
+|psi|^2 once and takes from it the norms (the drift guard and the
+finiteness check), the sector densities p_n, and from those the density,
+P_n and the sector dipoles; the mean field is one :func:`assemble_ks` per
+step.  An :class:`OrbitalSet` is made only for the returned and the
 aborted state.  A constant per-orbital energy shift (a pure phase), each
 orbital's expectation value of H at t = 0 without the laser term,
 conditions the expansion so that norm conservation is limited by the
@@ -46,7 +40,7 @@ import numpy as np
 from .cavity import CavityMode, OrbitalSet, SparseHamiltonian, coupling_field
 from .errors import ConfigurationError, PropagationAborted, StepSizeError
 from .potentials import Density, assemble_ks
-from .scf import ScfState, orbital_eigenvalues
+from .scf import ScfState, _energy, orbital_eigenvalues
 # kept bound here because bench/run.py:trace_layers wraps this name in this module
 from .scf import total_energy  # noqa: F401
 from .timeseries import TimeSeries, axis_name
@@ -100,6 +94,10 @@ class PropConfig:
             raise ConfigurationError("n_steps must be >= 1")
         if self.stride < 1:
             raise ConfigurationError("sampling stride must be >= 1")
+        if not self.norm_tol_step > 0:
+            raise ConfigurationError(f"norm_tol_step must be positive, got {self.norm_tol_step}")
+        if not math.isfinite(self.kick_strength):
+            raise ConfigurationError(f"kick_strength must be finite, got {self.kick_strength}")
 
 
 def taylor_step(psi: np.ndarray, apply: Callable, dt: float,
@@ -179,16 +177,10 @@ def _drive(state: ScfState, cfg: PropConfig,
     the mean-field potential is rebuilt from the density after every step.
     Every ``stride`` steps a sample records t, the dipole, on a Fock space
     <q>, P_n and the sector dipoles, the scheme's columns and E, and the
-    norm.  The energy of a sample comes from one product with the matrix H
-    as it stands, H_0 + diag(v):
-
-        sum_m c_m <phi_m|H phi_m> - int rho v + int rho v_ion + E_H + E_xc
-        + mu^2 / 2 - (N_e - 1) w sum_n (n + 1/2) P_n,
-
-    which is :func:`total_energy` for any diagonal v; the last two terms
-    belong to the Fock space and are absent without one.  A kick or laser
-    axis outside the grid raises :class:`ConfigurationError` before the
-    first step.  Norm drift beyond ``norm_tol_step`` per step raises
+    norm; the energy is :func:`total_energy`'s formula read off one more
+    product with the matrix H as it stands.  A kick or laser axis outside
+    the grid raises :class:`ConfigurationError` before the first step.
+    Norm drift beyond ``norm_tol_step`` per step raises
     :class:`StepSizeError`; non-finite orbitals or samples abort with the
     last good state and the series of the samples before it attached.
     """
@@ -257,21 +249,16 @@ def _drive(state: ScfState, cfg: PropConfig,
 
     def record(t, psi, norms, p, rho, dipoles, mu, pot, v_diag):
         nonlocal table, n_rows
-        flat = psi.reshape(n_orb, -1)
-        h_psi = hamiltonian.apply(psi).reshape(n_orb, -1)
-        band = float(occ @ np.einsum("mp,mp->m", flat.conj(), h_psi).real)
-        energy = ((band + float(rho @ (v_ion - v_diag).ravel())) * dv
-                  + pot.e_hartree + pot.e_xc)
         row = {"t": t}
         row.update(zip(dipole_names, dipoles.sum(axis=0).tolist()))
+        pn = p.sum(axis=1) * (dv / n_el) if fock is not None else None
         if fock is not None:
-            pn = p.sum(axis=1) * (dv / n_el)
             # Re<phi_mn|phi_m,n+1> from the real and imaginary parts side by side
-            f = flat.view(float).reshape(n_orb, n_sec, -1)
+            f = psi.view(float).reshape(n_orb, n_sec, -1)
             row["q"] = float(occ @ np.einsum("mnp,mnp->mn", f[:, :-1], f[:, 1:]) @ q_weights)
             row.update(zip(occupation_names, pn.tolist()))
-            energy += 0.5 * mu * mu - (n_el - 1.0) * float(pn @ fock.photon_energies)
-        row.update(scheme.sample(energy))
+        row.update(scheme.sample(_energy(grid, fock, psi, occ, hamiltonian.apply(psi), v_diag,
+                                         rho, pn, mu, pot).total))
         row["norm"] = float(norms @ occ) / n_el
         if fock is not None:
             row.update(zip(sector_names, dipoles.ravel().tolist()))

@@ -44,12 +44,15 @@ class SpectrumConfig:
     peak_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.omega_step <= 0:
-            raise ConfigurationError("omega_step must be positive")
-        if self.omega_max <= self.omega_min:
-            raise ConfigurationError("omega_max must exceed omega_min")
-        if self.eta is not None and self.eta < 0:
-            raise ConfigurationError("damping eta must be >= 0")
+        if not 0 < self.omega_step < np.inf:
+            raise ConfigurationError(f"omega_step must be positive, got {self.omega_step}")
+        if not -np.inf < self.omega_min < self.omega_max < np.inf:
+            raise ConfigurationError(f"omega_max {self.omega_max} must exceed omega_min "
+                                     f"{self.omega_min}, both finite")
+        if self.eta is not None and not 0 <= self.eta < np.inf:
+            raise ConfigurationError(f"damping eta must be >= 0, got {self.eta}")
+        if not 0 <= self.peak_threshold < np.inf:
+            raise ConfigurationError(f"peak_threshold must be >= 0, got {self.peak_threshold}")
 
     def frequencies(self) -> np.ndarray:
         n = int(np.floor((self.omega_max - self.omega_min) / self.omega_step)) + 1

@@ -4,18 +4,22 @@ Each function here evaluates a quantity the package computes on its own
 path (through its sparse Hamiltonian, inside the propagation loop, by the
 1D Hartree convolution, in the classical-photon scheme) by a separate,
 plain formula: H psi by the finite-difference stencil and sector slices,
-<q> and the sector dipoles of an orbital set, the dipole vector of a
-density, the double-sum 1D Hartree energy, the boundary right-hand side
-of the 3D Hartree problem, and the velocity-Verlet trajectory of a driven
+the total energy with its kinetic term from a Laplacian, <q> and the
+sector dipoles of an orbital set, the dipole vector of a density, the
+double-sum 1D Hartree energy, the boundary right-hand side of the 3D
+Hartree problem, and the velocity-Verlet trajectory of a driven
 oscillator with its closed form.
 """
 
 import numpy as np
 
-from cavitydft.cavity import CavityMode, OrbitalSet, coupling_field
+from cavitydft.cavity import (CavityMode, OrbitalSet, coupling_field, electron_density,
+                              mean_dipole_mu, photon_occupations)
 from cavitydft.errors import UsageError
 from cavitydft.grid import Grid, dipole_integral, integrate, laplacian
+from cavitydft.potentials import ElectronSystem, assemble_ks
 from cavitydft.qedft import verlet_step
+from cavitydft.scf import EnergyDecomposition
 
 
 def stencil_apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
@@ -69,6 +73,49 @@ def stencil_apply_hamiltonian(psi: np.ndarray, v_local: np.ndarray, mu: float,
         out -= np.sqrt(cavity.omega / 2.0) * lam_r * ladder
 
     return out
+
+
+def laplacian_total_energy(system: ElectronSystem, orbitals: OrbitalSet,
+                           cavity: CavityMode | None) -> EnergyDecomposition:
+    """:func:`cavitydft.scf.total_energy` with the kinetic term from a Laplacian.
+
+    Each piece is its own integral: -1/2 sum_m c_m <phi_m|lap phi_m>,
+    int rho v_ion, the Hartree and XC energies, w sum_n (n + 1/2) P_n, the
+    ladder coupling term by sector slices and mu^2 / 2.
+    """
+    grid, psi, occupations = system.grid, orbitals.psi, orbitals.occupations
+    density = electron_density(orbitals)
+    potential = assemble_ks(density, system)
+    dv = grid.volume_element
+    n_orb = psi.shape[0]
+    flat = psi.reshape(n_orb, -1)
+    lap = laplacian(psi, grid)
+    per_orb = -0.5 * np.einsum("mp,mp->m", flat.conj(), lap.reshape(n_orb, -1)).real * dv
+    e_kin = float(occupations @ per_orb)
+
+    e_h, e_xc = potential.e_hartree, potential.e_xc
+    e_ext = float((density.values * potential.v_ion).sum()) * dv
+
+    if cavity is None:
+        return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, 0.0, 0.0, 0.0)
+
+    pn = photon_occupations(orbitals)
+    e_photon = cavity.omega * float(((np.arange(len(pn)) + 0.5) * pn).sum())
+
+    mu = mean_dipole_mu(density, cavity)
+    e_dsi = 0.5 * mu * mu
+
+    e_coup = 0.0
+    n_sec = psi.shape[1]
+    if n_sec > 1 and any(c != 0.0 for c in cavity.coupling):
+        lam_r = coupling_field(cavity, grid)
+        axes = tuple(range(2, psi.ndim))
+        cross = (psi[:, :-1].conj() * lam_r * psi[:, 1:]).sum(axis=axes) * dv
+        sq = cavity.sqrt_n[1:n_sec]
+        per = 2.0 * (cross.real @ sq)
+        e_coup = -np.sqrt(cavity.omega / 2.0) * float(occupations @ per)
+
+    return EnergyDecomposition(e_kin, e_ext, e_h, e_xc, e_photon, e_coup, e_dsi)
 
 
 def q_expectation(orbitals: OrbitalSet, cavity: CavityMode) -> float:

@@ -4,6 +4,7 @@ The names the benchmark's tracer wraps must stay module-level callables,
 and every workload must still build and run against the package's API.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -65,9 +66,30 @@ def test_scf_calls_its_traced_names_through_module_globals(traced_sites, monkeyp
                             occupations=[1.0])
     cav = CavityMode(omega=0.2, coupling=(0.05,), n_fock=1)
     scf.scf_solve(system, cav, scf.ScfConfig(max_iterations=3000, minimizer=minimizer))
+    # laplacian stays bound for the tracer, but the SCF reads every energy off an H product
     wrapped = {attr for module, attr in traced_sites
-               if module == "cavitydft.scf" and attr != "scf_solve"}
+               if module == "cavitydft.scf" and attr not in ("scf_solve", "laplacian")}
     assert set(calls) == wrapped
+    assert "laplacian" not in calls
+
+
+MARKER = "# kept bound here because bench/run.py:trace_layers wraps"
+
+
+def test_benchmark_only_bindings_name_traced_sites(traced_sites):
+    # an import under the marker binds its names for the tracer alone: each must
+    # be a traced site of its module and have no other use there
+    bound = set()
+    for path in sorted(Path(scf.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and lines[node.lineno - 2].startswith(MARKER):
+                for alias in node.names:
+                    bound.add((f"cavitydft.{path.stem}", alias.name))
+                    assert alias.name not in used, (path.name, alias.name)
+    assert bound and bound <= set(traced_sites), bound - set(traced_sites)
 
 
 def test_every_workload_runs_clean_at_tiny_size(monkeypatch):

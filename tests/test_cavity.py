@@ -44,6 +44,11 @@ class TestCavityMode:
         with pytest.raises(ConfigurationError):
             CavityMode(omega=0.1, coupling=(0.0,), n_fock=-1)
 
+    @pytest.mark.parametrize("coupling", [(np.nan,), (0.05, np.inf, 0.0)])
+    def test_non_finite_coupling_rejected(self, coupling):
+        with pytest.raises(ConfigurationError, match="coupling"):
+            CavityMode(omega=0.1, coupling=coupling, n_fock=1)
+
     def test_sqrt_table_exact(self):
         cav = CavityMode(omega=0.1, coupling=(0.0,), n_fock=4)
         assert np.array_equal(cav.sqrt_n, np.sqrt(np.arange(6.0)))

@@ -224,6 +224,40 @@ n_fock = 1
         assert code == 2
         assert "ERROR ConfigurationError" in err and "[prop]" in err and named in err
 
+    @pytest.mark.parametrize("section, lines, named", [
+        ("scf", "tol_energy = nan", "tol_energy"),
+        ("scf", "tol_density = nan", "tol_density"),
+        ("prop", "dt = 0.05\nn_steps = 10\nnorm_tol_step = nan", "norm_tol_step"),
+        ("prop", "dt = 0.05\nn_steps = 10\nnorm_tol_step = 0", "norm_tol_step"),
+        ("prop", "dt = 0.05\nn_steps = 10\nnorm_tol_step = -1e-10", "norm_tol_step"),
+        ("prop", "dt = 0.05\nn_steps = 10\nkick_strength = nan", "kick_strength"),
+        ("spectra", "omega_step = nan", "omega_step"),
+        ("spectra", "omega_max = nan", "omega_max"),
+        ("spectra", "eta = nan", "eta"),
+        ("spectra", "peak_threshold = nan", "peak_threshold"),
+        ("spectra", "peak_threshold = -0.1", "peak_threshold"),
+        ("system", "ions =\n    nan  0.0  1.0", "non-finite ion"),
+        ("system", "ions =\n    1.0  nan  1.0", "non-finite ion"),
+        ("system", "occupations = nan", "occupations"),
+        ("cavity", "omega = 0.1\nlambda = nan", "coupling"),
+    ], ids=["tol_energy-nan", "tol_density-nan", "norm_tol_step-nan", "norm_tol_step-0",
+            "norm_tol_step-negative", "kick_strength-nan", "omega_step-nan", "omega_max-nan",
+            "eta-nan", "peak_threshold-nan", "peak_threshold-negative", "ion-charge-nan",
+            "ion-position-nan", "occupations-nan", "lambda-nan"])
+    def test_non_finite_or_non_positive_values_rejected(self, tmp_path, section, lines, named):
+        # float("nan") parses, so each of these reaches its config class
+        text = MINIMAL
+        if section == "system":
+            key = lines.split(" =")[0]
+            text = re.sub(rf"^{key} =.*(\n    .*)*", lines, MINIMAL, flags=re.M)
+        else:
+            text += f"\n[{section}]\n{lines}\n"
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(write(tmp_path, text))
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"[{section}]")
+        assert named in err.value.violations[0]
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_scf_budget_below_one_reported(self, tmp_path, capsys, budget):
         text = MINIMAL + f"\n[scf]\nmax_iterations = {budget}\n"

@@ -50,9 +50,20 @@ class TestIonicPotential:
         with pytest.raises(ConfigurationError, match="non-negative"):
             ElectronSystem(grid=line, occupations=occupations)
 
+    @pytest.mark.parametrize("occupations", [[np.nan], [1.0, np.inf]])
+    def test_non_finite_occupation_rejected(self, line, occupations):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ElectronSystem(grid=line, occupations=occupations)
+
     def test_bad_softening_rejected(self):
         with pytest.raises(ConfigurationError):
             Ion(1.0, (0.0,), -1.0)
+
+    @pytest.mark.parametrize("charge, position", [
+        (np.nan, (0.0,)), (1.0, (np.nan,)), (1.0, (0.0, np.nan, 0.0)), (np.inf, (0.0,))])
+    def test_non_finite_ion_rejected(self, charge, position):
+        with pytest.raises(ConfigurationError, match="non-finite ion"):
+            Ion(charge, position, 1.0)
 
 
 class TestHartree1D:

@@ -71,6 +71,13 @@ class TestPropConfig:
         with pytest.raises(ConfigurationError):
             PropConfig(dt=0.1, n_steps=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("norm_tol_step", np.nan), ("norm_tol_step", 0.0), ("norm_tol_step", -1e-10),
+        ("kick_strength", np.nan), ("kick_strength", np.inf)])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PropConfig(dt=0.1, n_steps=10, **{field: value})
+
 
 class TestTaylorStep:
     def test_zero_hamiltonian_identity(self):
@@ -622,3 +629,63 @@ class TestPolaritonDynamics:
         mask = (freqs > 0.5 * gap) & (freqs < 2 * gap)
         dominant = freqs[mask][np.argmax(amp[mask])]
         assert abs(dominant - gap) / gap < 0.05
+
+
+class TestThreeDimensionalHarmonicAtom:
+    """A separable 3D atom in a cavity moves as the 1D polariton on its x line.
+
+    Without Hartree and XC and with the cavity coupling x only, the state
+    phi (x) chi (y) chi (z), chi the bare well's ground state on the line,
+    stays a product under the kick along x: every series of the 3D run is
+    the 1D run's, and its energy is the 1D energy plus 2 e_perp.
+    """
+
+    OMEGA0, N, H = 0.5, 13, 0.5
+    CFG = PropConfig(dt=0.02, n_steps=300, kick_strength=1e-3, stride=10)
+
+    def systems(self):
+        kw = dict(ions=[], occupations=[1.0], use_hartree=False, use_xc=False,
+                  harmonic_omega=self.OMEGA0)
+        return (ElectronSystem(grid=Grid((self.N,), self.H), **kw),
+                ElectronSystem(grid=Grid((self.N,) * 3, self.H), **kw))
+
+    def runs(self, line_cavity, box_cavity, run):
+        from cavitydft import oracle
+        from cavitydft.scf import state_from_orbitals
+        line, box = self.systems()
+        state = scf_solve(line, line_cavity, ScfConfig(tol_energy=1e-13, tol_density=1e-11,
+                                                       max_iterations=4000))
+        y = line.grid.axis_coordinates(0)
+        e_perp, vectors = np.linalg.eigh(oracle.kinetic_matrix(line.grid).toarray()
+                                         + np.diag(0.5 * self.OMEGA0**2 * y**2))
+        chi = vectors[:, 0] / np.sqrt(np.sum(vectors[:, 0] ** 2) * self.H)
+        psi = state.orbitals.psi[..., None, None] * chi[:, None] * chi
+        state_3d = state_from_orbitals(box, box_cavity, OrbitalSet(psi, [1.0], box.grid))
+        return run(state), run(state_3d), 2.0 * e_perp[0]
+
+    @staticmethod
+    def assert_same_series(series_1d, series_3d, e_perp2, columns):
+        for name in columns:
+            expected = series_1d[name] + (e_perp2 if name == "E" else 0.0)
+            assert np.max(np.abs(series_3d[name] - expected)) <= 1e-12, name
+        for name in ("Dy", "Dz"):
+            assert np.max(np.abs(series_3d[name])) <= 1e-12, name
+
+    def test_tensor_product(self):
+        cavity = CavityMode(omega=0.5, coupling=(0.05,), n_fock=2)
+        (s1, _), (s3, _), e_perp2 = self.runs(
+            cavity, CavityMode(omega=0.5, coupling=(0.05, 0.0, 0.0), n_fock=2),
+            lambda state: propagate(state, self.CFG))
+        assert np.ptp(s1["Dx"]) > 1e-3
+        self.assert_same_series(s1, s3, e_perp2, ["t", "Dx", "q", "P0", "P1", "P2", "E", "norm",
+                                                  "Dx_s0", "Dx_s1", "Dx_s2"])
+
+    def test_classical_photon(self):
+        # the cavity-free analogue: the ground state without the cavity, the
+        # photon a classical coordinate
+        (s1, _, _), (s3, _, _), e_perp2 = self.runs(
+            None, None, lambda state: qedft_propagate(
+                state, CavityMode(omega=0.5, coupling=(0.05,) + (0.0,) * (
+                    state.system.grid.dim - 1), n_fock=0), self.CFG))
+        assert np.ptp(s1["Dx"]) > 1e-3
+        self.assert_same_series(s1, s3, e_perp2, ["t", "Dx", "q", "qdot", "E", "norm"])

@@ -10,7 +10,7 @@ from cavitydft.grid import Grid, dipole_integral
 from cavitydft.potentials import ElectronSystem, Ion, assemble_ks
 from cavitydft.scf import (ScfConfig, gram_schmidt_sectorwise, init_orbitals, scf_solve,
                            seed_sector_amplitudes, state_from_orbitals, total_energy)
-from reference import q_expectation
+from reference import laplacian_total_energy, q_expectation
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,12 @@ class TestScfConfig:
     def test_max_iterations_below_one(self, budget):
         with pytest.raises(ConfigurationError, match="max_iterations"):
             ScfConfig(max_iterations=budget)
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1e-8])
+    @pytest.mark.parametrize("name", ["tol_energy", "tol_density"])
+    def test_tolerance_not_positive(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            ScfConfig(**{name: value})
 
     def test_steepest_descent_removed(self):
         with pytest.raises(ConfigurationError):
@@ -234,6 +240,17 @@ class TestScfSolve:
         assert len(err.value.history) == 3
         assert err.value.diagnostics["last_residual"] == err.value.history[-1]["residual"]
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("minimizer", scf_module.MINIMIZERS)
+    def test_non_finite_iteration_stops_at_once(self, soft_atom, minimizer):
+        cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
+        nan = np.full((1, 2) + soft_atom.grid.shape, np.nan, dtype=complex)
+        with pytest.raises(ConvergenceError, match="iteration 1 gave a non-finite energy") as err:
+            scf_solve(soft_atom, cav, ScfConfig(minimizer=minimizer),
+                      initial_orbitals=OrbitalSet(nan, [1.0], soft_atom.grid))
+        assert len(err.value.history) == 1
+        assert err.value.diagnostics == {"iteration": 1, "non_finite": "energy"}
+
     def test_converged_state_is_fixed_point(self, soft_atom):
         cav = CavityMode(omega=0.08, coupling=(0.05,), n_fock=1)
         cfg = ScfConfig(tol_energy=1e-10, tol_density=1e-8, max_iterations=3000)
@@ -366,6 +383,68 @@ class TestTotalEnergy:
         assert e.total == total  # bit-exact bookkeeping
 
 
+def _energy_state(case):
+    """A system, its cavity and a perturbed (non-stationary) orbital set."""
+    line, ions = Grid((61,), 0.4), [Ion(1.0, (0.0,), 1.0)]
+    dimer = [Ion(1.0, (-1.2,), 1.0), Ion(1.0, (1.2,), 1.0)]
+    system, cav = {
+        "dimer": (ElectronSystem(grid=line, ions=dimer, occupations=[2.0]),
+                  CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)),
+        "atom-n_fock-2": (ElectronSystem(grid=line, ions=ions, occupations=[1.0]),
+                          CavityMode(omega=0.08, coupling=(0.05,), n_fock=2)),
+        "two-orbitals": (ElectronSystem(grid=line, ions=[Ion(2.0, (-1.0,), 1.0),
+                                                         Ion(1.0, (1.0,), 1.0)],
+                                        occupations=[1.0, 1.0]),
+                         CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)),
+        "molecule-9^3": (ElectronSystem(grid=Grid((9, 9, 9), 0.6),
+                                        ions=[Ion(1.0, (x, 0.0, 0.0), 1.0) for x in (-0.6, 0.6)],
+                                        occupations=[2.0]),
+                         CavityMode(omega=0.3, coupling=(0.05, 0.02, 0.0), n_fock=1)),
+        "no-cavity": (ElectronSystem(grid=line, ions=dimer, occupations=[2.0]), None),
+    }[case]
+    seed = init_orbitals(system, cav)
+    rng = np.random.default_rng(7)
+    noise = rng.standard_normal(seed.psi.shape) + 1j * rng.standard_normal(seed.psi.shape)
+    return system, cav, gram_schmidt_sectorwise(OrbitalSet(
+        seed.psi + 0.05 * noise, system.occupations, system.grid))
+
+
+ENERGY_CASES = ["dimer", "atom-n_fock-2", "two-orbitals", "molecule-9^3", "no-cavity"]
+
+
+class TestEnergyFormula:
+    """The energy read off an H product against the Laplacian reference, for any v."""
+
+    @pytest.mark.parametrize("case", ENERGY_CASES)
+    def test_matches_the_laplacian_reference(self, case):
+        system, cav, orbs = _energy_state(case)
+        got = total_energy(system, orbs, cav).as_dict()
+        ref = laplacian_total_energy(system, orbs, cav).as_dict()
+        assert got.keys() == ref.keys()
+        for key in got:
+            assert abs(got[key] - ref[key]) <= 1e-13, (key, got[key] - ref[key])
+
+    @pytest.mark.parametrize("shift", ["v", "v+0.3", "v+random"])
+    @pytest.mark.parametrize("case", ENERGY_CASES)
+    def test_any_diagonal_potential(self, case, shift):
+        system, cav, orbs = _energy_state(case)
+        grid = system.grid
+        rho = electron_density(orbs)
+        pot = assemble_ks(rho, system)
+        mu = mean_dipole_mu(rho, cav)
+        v = pot.total + (mu * cavity_module.coupling_field(cav, grid) if cav else 0.0)
+        v = v + {"v": 0.0, "v+0.3": 0.3,
+                 "v+random": np.random.default_rng(3).standard_normal(grid.shape)}[shift]
+        # mu = 0 makes the product's local term v itself
+        h_psi = apply_hamiltonian(orbs.psi, v, 0.0, cav, grid)
+        pn = photon_occupations(orbs) if cav else None
+        got = scf_module._energy(grid, cav, orbs.psi, orbs.occupations, h_psi, v, rho.values,
+                                 pn, mu, pot).as_dict()
+        expected = total_energy(system, orbs, cav).as_dict()
+        for key in got:
+            assert abs(got[key] - expected[key]) <= 1e-12, (key, got[key] - expected[key])
+
+
 class TestImaginaryTimeStep:
     """One step of one orbital under a frozen H on a small coupled 1D grid."""
 
@@ -429,6 +508,8 @@ class TestBitIdentity:
         state = scf_solve(system, cavity, ScfConfig(**cfg))
         # the last iteration's energy is the returned state's, bit for bit
         assert state.history[-1]["energy"] == state.energy.total
+        reference = laplacian_total_energy(system, state.orbitals, cavity).total
+        assert abs(state.energy.total - reference) <= 1e-13
         return state.iterations, float(state.energy.total).hex()
 
     def test_cavity_free(self):
@@ -436,7 +517,7 @@ class TestBitIdentity:
                                 occupations=[1.0])
         assert self.solve(system, None, tol_energy=1e-10, tol_density=1e-8,
                           max_iterations=2000, minimizer="imaginary-time") == (
-            341, "-0x1.b168792a03667p-1")
+            341, "-0x1.b168792a03660p-1")
 
     def test_harmonic_well_two_photons(self):
         # no Hartree, no XC: the coupling-scan path
@@ -445,7 +526,7 @@ class TestBitIdentity:
         cav = CavityMode(omega=0.5, coupling=(0.05,), n_fock=2)
         assert self.solve(system, cav, tol_energy=1e-10, tol_density=1e-8,
                           max_iterations=4000, minimizer="imaginary-time") == (
-            414, "0x1.ff5ba559c89c2p-2")
+            414, "0x1.ff5ba559c89d8p-2")
 
     def test_two_orbitals(self):
         system = ElectronSystem(grid=Grid((61,), 0.4),
@@ -453,13 +534,13 @@ class TestBitIdentity:
                                 occupations=[1.0, 1.0])
         cav = CavityMode(omega=0.3, coupling=(0.05,), n_fock=1)
         assert self.solve(system, cav, tol_energy=1e-8, tol_density=1e-6,
-                          max_iterations=3000) == (449, "-0x1.9c0f3428c7cb9p+1")
+                          max_iterations=3000) == (449, "-0x1.9c0f3428c7cb7p+1")
 
     def test_three_dimensional(self):
         system = ElectronSystem(grid=Grid((9, 9, 9), 0.6),
                                 ions=[Ion(1.0, (0.0, 0.0, 0.0), 1.0)], occupations=[1.0])
         cav = CavityMode(omega=0.3, coupling=(0.05, 0.0, 0.0), n_fock=1)
-        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65224e11a1p-4")
+        assert self.solve(system, cav, tol_density=1e-4) == (196, "0x1.3df65224e11f9p-4")
 
     def test_convergence_error(self):
         system = ElectronSystem(grid=Grid((61,), 0.4), ions=[Ion(1.0, (0.0,), 1.0)],
@@ -469,7 +550,7 @@ class TestBitIdentity:
             scf_solve(system, cav, ScfConfig(max_iterations=60, tol_energy=1e-14,
                                              tol_density=1e-12, minimizer="imaginary-time"))
         assert len(err.value.history) == 60
-        assert float(err.value.history[-1]["energy"]).hex() == "-0x1.9cddd9dc1a598p-1"
+        assert float(err.value.history[-1]["energy"]).hex() == "-0x1.9cddd9dc1a59bp-1"
         assert err.value.diagnostics["mixing_halvings"] == 7
 
     def test_imaginary_time_hartree_lda_cavity(self):
@@ -481,7 +562,9 @@ class TestBitIdentity:
                                                  max_iterations=2000,
                                                  minimizer="imaginary-time"))
         assert state.iterations == 370
-        assert float(state.energy.total).hex() == "-0x1.1713268eec179p+1"
+        assert float(state.energy.total).hex() == "-0x1.1713268eec177p+1"
+        assert abs(laplacian_total_energy(system, state.orbitals, cav).total
+                   - state.energy.total) <= 1e-13
 
     def test_returned_state_is_its_orbitals_state(self):
         system = ElectronSystem(grid=Grid((61,), 0.4, order=5),
@@ -687,19 +770,19 @@ class TestWorkPerIteration:
                 "gram_schmidt_sectorwise": 2}
         if minimizer == "imaginary-time":
             # per iteration: the input and the output mean field, two H
-            # products and the kinetic energy's Laplacian; once per solve:
+            # products for the step and one for the energy; once per solve:
             # the seed's and the start's orthonormalization and the returned
-            # state's energy, with its Laplacian
-            assert calls == {"assemble_ks": 2 * n, "apply_hamiltonian": 2 * n,
-                             "laplacian": n + 1, **logs}
+            # state's energy, with its H product
+            assert calls == {"assemble_ks": 2 * n, "apply_hamiltonian": 3 * n + 1,
+                             "laplacian": 0, **logs}
             return
         # the start's mean field and H product; per iteration the model's H
-        # product, the trial point's mean field and H product and the kinetic
-        # energy's Laplacian; per secant fallback one more mean field and H
-        # product; once per solve the returned state's energy, with its Laplacian
+        # product and the trial point's mean field and H product, which also
+        # gives the energy; per secant fallback one more mean field and H
+        # product; once per solve the returned state's energy, with its H product
         s = sum(h["secant"] for h in state.history)
-        assert calls == {"assemble_ks": 1 + n + s, "apply_hamiltonian": 1 + 2 * n + s,
-                         "laplacian": n + 1, **logs}
+        assert calls == {"assemble_ks": 1 + n + s, "apply_hamiltonian": 2 + 2 * n + s,
+                         "laplacian": 0, **logs}
 
     def test_no_energy_evaluation_on_failure(self, monkeypatch, soft_atom):
         calls = []

@@ -30,6 +30,14 @@ class TestSpectrumConfig:
         with pytest.raises(ConfigurationError):
             SpectrumConfig(omega_min=1.0, omega_max=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("omega_step", np.nan), ("omega_max", np.nan), ("omega_min", np.nan),
+        ("omega_max", np.inf), ("eta", np.nan), ("peak_threshold", np.nan),
+        ("peak_threshold", -0.1)])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SpectrumConfig(**{field: value})
+
     def test_auto_damping_rule(self):
         cfg = SpectrumConfig()
         eta = cfg.damping_rate(t_final=1000.0)
